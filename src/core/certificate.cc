@@ -1,5 +1,6 @@
 #include "core/certificate.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cstring>
 
@@ -19,6 +20,22 @@ std::string EncodeValue(const Value& v) {
   const char tag = v.is_int64() ? 'i' : (v.is_double() ? 'd' : 's');
   return std::string(1, tag) + ":" +
          HexEncode(bytes.data() + 1, bytes.size() - 1);
+}
+
+/// Parses all of `text` as one number of type T (decimal for integers,
+/// std::from_chars' general format for doubles). Leading signs other than
+/// '-', whitespace and trailing bytes are all rejected.
+template <typename T>
+Result<T> ParseNumber(std::string_view field, std::string_view text) {
+  T v{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument("certificate field '" + std::string(field) +
+                                   "' has a malformed number '" +
+                                   std::string(text) + "'");
+  }
+  return v;
 }
 
 Result<Value> DecodeValue(std::string_view text) {
@@ -171,7 +188,11 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
     } else if (key == "target_attr") {
       cert.target_attr = std::string(value);
     } else if (key == "e") {
-      cert.params.e = std::strtoull(std::string(value).c_str(), nullptr, 10);
+      CATMARK_ASSIGN_OR_RETURN(cert.params.e,
+                               ParseNumber<std::uint64_t>(key, value));
+      if (cert.params.e == 0) {
+        return Status::InvalidArgument("certificate field 'e' must be >= 1");
+      }
     } else if (key == "ecc") {
       CATMARK_ASSIGN_OR_RETURN(cert.params.ecc, EccFromName(value));
     } else if (key == "hash") {
@@ -180,14 +201,26 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
       CATMARK_ASSIGN_OR_RETURN(const PrfKind prf, PrfKindFromName(value));
       cert.params.prf = prf;
     } else if (key == "bit_index_mode") {
-      cert.params.bit_index_mode = value == "msb" ? BitIndexMode::kMsbModL
-                                                  : BitIndexMode::kModulo;
+      if (value == "modulo") {
+        cert.params.bit_index_mode = BitIndexMode::kModulo;
+      } else if (value == "msb") {
+        cert.params.bit_index_mode = BitIndexMode::kMsbModL;
+      } else {
+        return Status::InvalidArgument("unknown bit_index_mode '" +
+                                       std::string(value) + "'");
+      }
     } else if (key == "min_category_keep") {
-      cert.params.min_category_keep =
-          std::strtol(std::string(value).c_str(), nullptr, 10);
+      CATMARK_ASSIGN_OR_RETURN(cert.params.min_category_keep,
+                               ParseNumber<long>(key, value));
     } else if (key == "payload_length") {
-      cert.payload_length =
-          std::strtoull(std::string(value).c_str(), nullptr, 10);
+      CATMARK_ASSIGN_OR_RETURN(cert.payload_length,
+                               ParseNumber<std::size_t>(key, value));
+      if (cert.payload_length > kMaxCertificatePayloadLength) {
+        return Status::InvalidArgument(
+            "certificate payload_length " + std::string(value) +
+            " exceeds the limit of " +
+            std::to_string(kMaxCertificatePayloadLength));
+      }
     } else if (key == "wm") {
       CATMARK_ASSIGN_OR_RETURN(cert.wm, BitVector::FromString(value));
     } else if (key == "domain") {
@@ -203,9 +236,16 @@ Result<WatermarkCertificate> WatermarkCertificate::Deserialize(
                                  CategoricalDomain::FromValues(values));
       }
     } else if (key == "frequencies") {
-      if (!value.empty()) {
-        for (const std::string& field : StrSplit(value, ',')) {
-          cert.frequencies.push_back(std::strtod(field.c_str(), nullptr));
+      for (std::size_t pos = 0; pos < value.size();) {
+        const std::size_t comma = std::min(value.find(',', pos), value.size());
+        CATMARK_ASSIGN_OR_RETURN(
+            const double f,
+            ParseNumber<double>(key, value.substr(pos, comma - pos)));
+        cert.frequencies.push_back(f);
+        pos = comma + 1;
+        if (comma + 1 == value.size()) {
+          return Status::InvalidArgument(
+              "certificate field 'frequencies' ends with a comma");
         }
       }
     } else if (key == "key_commitment") {

@@ -30,6 +30,13 @@ namespace catmark {
 ///    certificate at embedding time proves key possession *before* any
 ///    adversarial re-marking, without revealing the keys; at court time
 ///    VerifyKeys shows the produced keys match the committed ones.
+/// Largest payload_length a certificate may declare: 2^24 positions, room
+/// for N/e of any relation below 2^24 * e rows. Detection sizes its vote
+/// tallies by the payload length, so a larger (corrupt or hostile) value
+/// must fail to parse rather than exhaust memory.
+inline constexpr std::size_t kMaxCertificatePayloadLength = std::size_t{1}
+                                                            << 24;
+
 struct WatermarkCertificate {
   std::string description;
   std::string key_attr;

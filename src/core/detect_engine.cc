@@ -249,7 +249,10 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
     // Plain key column: one message per non-NULL key row, fused with the
     // vote computation in a single sharded pass (vote 0 = unusable row, so
     // the tally can add it unconditionally).
-    const ColumnReader key_reader(store, key_col);
+    const Int64Cells* int64_keys =
+        store.IsInt64Column(key_col) ? &store.Int64Column(key_col) : nullptr;
+    const std::vector<Value>* key_values =
+        int64_keys == nullptr ? &store.PlainValues(key_col) : nullptr;
     engine.arena_.resize(threads);
     engine.bounds_.assign(threads, std::vector<std::size_t>{0});
     std::vector<std::vector<std::int32_t>> shard_vote(threads);
@@ -259,9 +262,14 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                   std::vector<std::size_t>& bounds = engine.bounds_[shard];
                   std::vector<std::int32_t>& vote = shard_vote[shard];
                   for (std::size_t j = begin; j < end; ++j) {
-                    const Value& key_value = key_reader[j];
-                    if (key_value.is_null()) continue;
-                    key_value.SerializeForHash(arena);
+                    if (int64_keys != nullptr) {
+                      if (int64_keys->is_null(j)) continue;
+                      Value::SerializeInt64(int64_keys->values[j], arena);
+                    } else {
+                      const Value& key_value = (*key_values)[j];
+                      if (key_value.is_null()) continue;
+                      key_value.SerializeForHash(arena);
+                    }
                     bounds.push_back(arena.size());
                     const std::int32_t t = target_index->index(j);
                     vote.push_back(
@@ -542,7 +550,10 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
       CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
 
   const DivisibilityCheck fit_by_e(candidate.params.e);
-  const ColumnReader key_reader(store, key_col);
+  const Int64Cells* int64_keys =
+      store.IsInt64Column(key_col) ? &store.Int64Column(key_col) : nullptr;
+  const std::vector<Value>* key_values =
+      int64_keys == nullptr ? &store.PlainValues(key_col) : nullptr;
   std::vector<std::vector<long>> worker_votes(
       threads, std::vector<long>(payload_len, 0));
   std::vector<std::size_t> worker_usable(threads, 0);
@@ -552,8 +563,8 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
                               std::size_t end) {
     std::vector<long>& votes = worker_votes[shard];
     std::vector<std::uint8_t> arena;
-    std::vector<std::int64_t> vals;      // raw int64 keys, fast path
-    std::vector<std::int64_t> fit_vals;  // fit subset of vals, for k2
+    std::vector<std::int64_t> vals;      // compacted int64 keys
+    std::vector<std::int64_t> fit_vals;  // fit subset of the keys, for k2
     std::vector<std::size_t> bounds;
     std::vector<std::uint32_t> rows;
     std::vector<std::uint64_t> h1;
@@ -566,61 +577,31 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
     fit_vals.resize(kOneShotBatch);
     bounds.reserve(kOneShotBatch + 1);
     rows.reserve(kOneShotBatch);
-    // The plain key column's row storage, iterated directly: the reader's
-    // dict branch costs on every row, and the one-shot plain path already
-    // established there is no dict.
-    const Value* key_col_values = key_reader.values().data();
     std::size_t usable = 0;
     std::size_t fit = 0;
     std::size_t hashed = 0;
     for (std::size_t chunk = begin; chunk < end; chunk += kOneShotBatch) {
       const std::size_t chunk_end = std::min(end, chunk + kOneShotBatch);
-      // Int64 fast path — the dominant plain-key shape: gather the raw
-      // int64s (one inline variant probe, one store per row — no per-row
-      // SerializeForHash, no bounds vector, no byte records at all) and
-      // hash them through the typed kernel, which assembles both SipHash
-      // input blocks of each canonical 9-byte record in vector registers.
-      // While no NULL has appeared the chunk is dense — message i is row
-      // chunk + i — so the rows indirection isn't even written. Any
-      // non-int64, non-NULL key falls the whole chunk back to the general
-      // arena path below.
-      bool fast = true;
-      bool dense = true;
+      // A typed int64 key column feeds its raw cells to the typed kernel,
+      // which assembles both SipHash input blocks of each canonical 9-byte
+      // record in vector registers: no per-row SerializeForHash, no bounds
+      // vector, and no copy at all while the chunk has no NULL (message i
+      // is then row chunk + i and `rows` stays empty). Other plain keys
+      // serialize into the arena.
       std::size_t count = 0;
-      {
-        std::int64_t* vp = vals.data();
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const std::int64_t* kv = key_col_values[j].TryInt64();
-          if (kv == nullptr) {
-            if (key_col_values[j].is_null()) {
-              if (dense) {
-                dense = false;
-                rows.clear();
-                for (std::size_t t = 0; t < count; ++t) {
-                  rows.push_back(static_cast<std::uint32_t>(chunk + t));
-                }
-              }
-              continue;
-            }
-            fast = false;
-            break;
-          }
-          vp[count++] = *kv;
-          if (!dense) rows.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-      if (fast) {
+      const std::int64_t* keys = nullptr;
+      if (int64_keys != nullptr) {
+        keys = Int64KeyChunk(*int64_keys, chunk, chunk_end, vals.data(), rows,
+                             count);
         h1.resize(count);
-        prf_k1->Hash64Int64Keys(vals.data(), count,
-                                std::span<std::uint64_t>(h1));
+        prf_k1->Hash64Int64Keys(keys, count, std::span<std::uint64_t>(h1));
       } else {
-        dense = false;
         rows.clear();
         arena.clear();
         bounds.clear();
         bounds.push_back(0);
         for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const Value& key_value = key_col_values[j];
+          const Value& key_value = (*key_values)[j];
           if (key_value.is_null()) continue;
           key_value.SerializeForHash(arena);
           bounds.push_back(arena.size());
@@ -651,9 +632,9 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
       const std::size_t nfit = fit_sel.size();
       fit += nfit;
       h2.resize(nfit);
-      if (fast) {
+      if (keys != nullptr) {
         for (std::size_t f = 0; f < nfit; ++f) {
-          fit_vals[f] = vals[fit_sel[f]];
+          fit_vals[f] = keys[fit_sel[f]];
         }
         prf_k2->Hash64Int64Keys(fit_vals.data(), nfit,
                                 std::span<std::uint64_t>(h2));
@@ -668,7 +649,8 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
         prf_k2->Hash64Column(fit_views, std::span<std::uint64_t>(h2));
       }
       for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t j = dense ? chunk + fit_sel[f] : rows[fit_sel[f]];
+        const std::size_t j =
+            rows.empty() ? chunk + fit_sel[f] : rows[fit_sel[f]];
         const std::size_t idx = PayloadIndexFromHash(
             h2[f], payload_len, candidate.params.bit_index_mode);
         std::int32_t t;

@@ -115,6 +115,7 @@ Status SerialApply(const ApplyInputs& in, EmbedReport& report) {
 
   std::vector<std::uint8_t> position_seen(in.payload_len, 0);
   std::size_t next_map_index = 0;
+  std::vector<std::uint8_t> key_scratch;
 
   for (std::size_t j = 0; j < rel.NumRows(); ++j) {
     if (!plan.fit[j]) continue;
@@ -138,7 +139,8 @@ Status SerialApply(const ApplyInputs& in, EmbedReport& report) {
         ++report.positions_written;
       }
       if (map_mode) {
-        report.embedding_map.Insert(rel.Get(j, in.key_col), idx);
+        report.embedding_map.Insert(
+            rel.store().CellKey(j, in.key_col, key_scratch), idx);
         ++next_map_index;
       }
       if (in.ledger != nullptr) in.ledger->Mark(j, in.target_col);
@@ -367,10 +369,11 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
   // column is the same bytes for every row sharing a dict code — serialize
   // each live dictionary entry once up front and splice by code, instead of
   // re-serializing (and re-allocating) per committing tuple.
-  const ColumnReader key_probe(rel.store(), in.key_col);
+  const ColumnStore& store = rel.store();
+  const bool dict_keys = store.IsDictColumn(in.key_col);
   std::vector<std::string> key_of_code;
-  if (key_probe.is_dict()) {
-    const std::vector<Value>& dict = key_probe.dict();
+  if (dict_keys) {
+    const std::vector<Value>& dict = store.Dict(in.key_col);
     key_of_code.resize(dict.size());
     std::vector<std::uint8_t> scratch;
     scratch.reserve(64);
@@ -389,9 +392,8 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
         ShardTally& t = tally[shard];
         t.segment.reserve(shard_commits[shard]);
         std::vector<std::uint8_t>& seen = shard_seen[shard];
-        const ColumnReader key_reader(rel.store(), in.key_col);
         const std::int32_t* key_codes =
-            key_reader.is_dict() ? key_reader.codes().data() : nullptr;
+            dict_keys ? store.Codes(in.key_col).data() : nullptr;
         std::vector<std::uint8_t> scratch;
         scratch.reserve(64);
         std::size_t map_index = base[shard];
@@ -420,7 +422,7 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
             t.segment.emplace_back(key_of_code[key_codes[j]], idx);
           } else {
             t.segment.emplace_back(
-                std::string(key_reader[j].SerializeKeyInto(scratch)), idx);
+                std::string(store.CellKey(j, in.key_col, scratch)), idx);
           }
           if (in.ledger != nullptr) t.marks.push_back(j);
           ++map_index;

@@ -13,10 +13,13 @@ std::string_view EmbeddingMap::SerializeKey(
 }
 
 void EmbeddingMap::Insert(const Value& pk, std::size_t idx) {
+  Insert(pk.SerializeKeyInto(insert_scratch_), idx);
+}
+
+void EmbeddingMap::Insert(std::string_view key, std::size_t idx) {
   // The embed apply pass calls this once per fit tuple: probe with a view
-  // over the reused scratch buffer and only materialize an owned key string
+  // over a reused scratch buffer and only materialize an owned key string
   // for first-time inserts.
-  const std::string_view key = pk.SerializeKeyInto(insert_scratch_);
   const auto it = map_.find(key);
   if (it != map_.end()) {
     it->second = idx;
@@ -78,11 +81,10 @@ std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
     return out;
   }
 
-  const std::vector<Value>& values = rel.store().PlainValues(col);
   for (std::size_t j = 0; j < n; ++j) {
     if (mask != nullptr && !(*mask)[j]) continue;
-    if (values[j].is_null()) continue;
-    const auto found = Lookup(SerializeKey(values[j], scratch));
+    if (rel.store().IsNull(j, col)) continue;
+    const auto found = Lookup(rel.store().CellKey(j, col, scratch));
     if (found.has_value()) out[j] = *found;
   }
   return out;

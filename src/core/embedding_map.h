@@ -38,6 +38,9 @@ class EmbeddingMap {
   /// index `idx`. Re-inserting the same key overwrites.
   void Insert(const Value& pk, std::size_t idx);
 
+  /// Insert by already-serialized key (the bytes SerializeKey produces).
+  void Insert(std::string_view serialized_pk, std::size_t idx);
+
   /// One shard's worth of entries from the sharded embed apply pass:
   /// (serialized key, wm_data index) pairs in commit (row) order. Keys are
   /// the exact bytes SerializeKey produces — serialization happens inside

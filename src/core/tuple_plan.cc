@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <limits>
+#include <optional>
 #include <string_view>
 
 #include "common/bits.h"
@@ -206,22 +207,21 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
 
   // Plain key columns (or the dict cache disabled for the parity tests):
   // the fused chunk pipeline of DetectOneShot, producing plan rows instead
-  // of vote tallies. Int64 chunks gather raw values straight off the column
-  // storage into the typed kernel; anything else serializes chunk-wise into
-  // a per-worker arena.
-  const ColumnReader key_reader(store, key_col);
-  // Raw row storage exists only for plain columns; the dict-with-cache-
-  // disabled parity configuration reads through the (dict-aware) reader.
-  const bool plain = !store.IsDictColumn(key_col);
-  const Value* key_col_values = plain ? key_reader.values().data() : nullptr;
+  // of vote tallies. A typed int64 key column feeds its raw cells to the
+  // typed kernel, straight from the column while a chunk has no NULL;
+  // anything else serializes chunk-wise into a per-worker arena.
+  const Int64Cells* int64_keys =
+      store.IsInt64Column(key_col) ? &store.Int64Column(key_col) : nullptr;
+  std::optional<ColumnReader> key_reader;
+  if (int64_keys == nullptr) key_reader.emplace(store, key_col);
   plan.shard_fit.assign(threads, 0);
   std::vector<std::size_t>& shard_fit = plan.shard_fit;
   std::vector<std::size_t> shard_hashed(threads, 0);
   ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
                               std::size_t end) {
     std::vector<std::uint8_t> arena;
-    std::vector<std::int64_t> vals;      // raw int64 keys, fast path
-    std::vector<std::int64_t> fit_vals;  // fit subset of vals, for k2
+    std::vector<std::int64_t> vals;      // compacted int64 keys
+    std::vector<std::int64_t> fit_vals;  // fit subset of the keys, for k2
     std::vector<std::size_t> bounds;
     std::vector<std::uint32_t> rows;
     std::vector<std::uint64_t> h1;
@@ -236,54 +236,23 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     rows.reserve(kPlanChunk);
     std::size_t local_fit = 0;
     std::size_t local_hashed = 0;
-    const auto key_at = [&](std::size_t j) -> const Value& {
-      return plain ? key_col_values[j] : key_reader[j];
-    };
     for (std::size_t chunk = begin; chunk < end; chunk += kPlanChunk) {
       const std::size_t chunk_end = std::min(end, chunk + kPlanChunk);
-      // Int64 fast path — the dominant plain-key shape: gather the raw
-      // int64s (one inline variant probe, one store per row) and hash them
-      // through the typed kernel. While no NULL has appeared the chunk is
-      // dense — entry i is row chunk + i — so the rows indirection isn't
-      // even written. Any non-int64, non-NULL key falls the whole chunk
-      // back to the general arena path below.
-      bool fast = true;
-      bool dense = true;
+      // Key i of the chunk is row chunk + i while `rows` stays empty.
       std::size_t count = 0;
-      {
-        std::int64_t* vp = vals.data();
-        for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const std::int64_t* kv = key_at(j).TryInt64();
-          if (kv == nullptr) {
-            if (key_at(j).is_null()) {
-              if (dense) {
-                dense = false;
-                rows.clear();
-                for (std::size_t t = 0; t < count; ++t) {
-                  rows.push_back(static_cast<std::uint32_t>(chunk + t));
-                }
-              }
-              continue;
-            }
-            fast = false;
-            break;
-          }
-          vp[count++] = *kv;
-          if (!dense) rows.push_back(static_cast<std::uint32_t>(j));
-        }
-      }
-      if (fast) {
+      const std::int64_t* keys = nullptr;
+      if (int64_keys != nullptr) {
+        keys = Int64KeyChunk(*int64_keys, chunk, chunk_end, vals.data(), rows,
+                             count);
         h1.resize(count);
-        prf_k1->Hash64Int64Keys(vals.data(), count,
-                                std::span<std::uint64_t>(h1));
+        prf_k1->Hash64Int64Keys(keys, count, std::span<std::uint64_t>(h1));
       } else {
-        dense = false;
         rows.clear();
         arena.clear();
         bounds.clear();
         bounds.push_back(0);
         for (std::size_t j = chunk; j < chunk_end; ++j) {
-          const Value& key_value = key_at(j);
+          const Value& key_value = (*key_reader)[j];
           if (key_value.is_null()) continue;
           key_value.SerializeForHash(arena);
           bounds.push_back(arena.size());
@@ -302,9 +271,9 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       local_fit += nfit;
       if (options.with_payload_index) {
         h2.resize(nfit);
-        if (fast) {
+        if (keys != nullptr) {
           for (std::size_t f = 0; f < nfit; ++f) {
-            fit_vals[f] = vals[fit_sel[f]];
+            fit_vals[f] = keys[fit_sel[f]];
           }
           prf_k2->Hash64Int64Keys(fit_vals.data(), nfit,
                                   std::span<std::uint64_t>(h2));
@@ -321,7 +290,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       }
       for (std::size_t f = 0; f < nfit; ++f) {
         const std::size_t i = fit_sel[f];
-        const std::size_t row = dense ? chunk + i : rows[i];
+        const std::size_t row = rows.empty() ? chunk + i : rows[i];
         plan.fit[row] = 1;
         plan.h1[row] = h1[i];
         if (options.with_payload_index) {

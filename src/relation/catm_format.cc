@@ -1,8 +1,11 @@
 #include "relation/catm_format.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
+
+#include "common/check.h"
 
 namespace catmark {
 
@@ -48,37 +51,70 @@ constexpr std::uint64_t kCk1 = 0xe7037ed1a0b428dbull;
 constexpr std::uint64_t kCk2 = 0x8ebc6af09c88c6e3ull;
 constexpr std::uint64_t kCk3 = 0x589965cc75374cc3ull;
 
+// One 32-byte block: the two lanes' multiply-folds.
+inline void ChecksumBlock(const std::uint8_t* p, std::uint64_t& h0,
+                          std::uint64_t& h1) {
+  h0 = ChecksumMix(ChecksumLoad64(p) ^ kCk2, ChecksumLoad64(p + 8) ^ h0);
+  h1 = ChecksumMix(ChecksumLoad64(p + 16) ^ kCk3, ChecksumLoad64(p + 24) ^ h1);
+}
+
 }  // namespace
 
-std::uint64_t CatmChecksum(const std::uint8_t* data, std::size_t len) {
-  // wyhash-style multiply-fold over two independent 16-byte lanes.
-  // Integrity against accidental corruption only — the checksum is unkeyed
-  // and anyone can recompute it; authenticity comes from the watermark
-  // itself, not the container. ~5x the throughput of the SipHash-2-4 it
-  // replaced, which was the single largest cost of a .catm load.
-  const std::uint8_t* p = data;
-  std::size_t n = len;
-  std::uint64_t h0 = kCk0 ^ static_cast<std::uint64_t>(len);
-  std::uint64_t h1 = kCk1;
-  while (n >= 32) {
-    h0 = ChecksumMix(ChecksumLoad64(p) ^ kCk2, ChecksumLoad64(p + 8) ^ h0);
-    h1 = ChecksumMix(ChecksumLoad64(p + 16) ^ kCk3,
-                     ChecksumLoad64(p + 24) ^ h1);
-    p += 32;
-    n -= 32;
+// wyhash-style multiply-fold over two independent 16-byte lanes.
+// Integrity against accidental corruption only — the checksum is unkeyed
+// and anyone can recompute it; authenticity comes from the watermark
+// itself, not the container. ~5x the throughput of the SipHash-2-4 it
+// replaced, which was the single largest cost of a .catm load.
+CatmChecksumStream::CatmChecksumStream(std::size_t total_len)
+    : len_(total_len), h0_(kCk0 ^ static_cast<std::uint64_t>(total_len)),
+      h1_(kCk1) {}
+
+void CatmChecksumStream::Update(const std::uint8_t* data, std::size_t n) {
+  fed_ += n;
+  CATMARK_CHECK_LE(fed_, len_) << "checksum stream fed past its length";
+  if (buffered_ > 0) {
+    const std::size_t take = std::min(sizeof(buf_) - buffered_, n);
+    std::memcpy(buf_ + buffered_, data, take);
+    buffered_ += take;
+    data += take;
+    n -= take;
+    if (buffered_ < sizeof(buf_)) return;
+    ChecksumBlock(buf_, h0_, h1_);
+    buffered_ = 0;
   }
-  h0 ^= ChecksumMix(h1 ^ kCk1, kCk3);
-  while (n >= 8) {
+  // Locals, not members: stores through `this` would alias the byte loads
+  // and serialize the loop.
+  std::uint64_t h0 = h0_;
+  std::uint64_t h1 = h1_;
+  for (; n >= sizeof(buf_); data += sizeof(buf_), n -= sizeof(buf_)) {
+    ChecksumBlock(data, h0, h1);
+  }
+  h0_ = h0;
+  h1_ = h1;
+  if (n > 0) std::memcpy(buf_, data, n);
+  buffered_ = n;
+}
+
+std::uint64_t CatmChecksumStream::Finish() const {
+  CATMARK_CHECK_EQ(fed_, len_) << "checksum stream finished short";
+  std::uint64_t h0 = h0_ ^ ChecksumMix(h1_ ^ kCk1, kCk3);
+  const std::uint8_t* p = buf_;
+  std::size_t n = buffered_;
+  for (; n >= 8; p += 8, n -= 8) {
     h0 = ChecksumMix(ChecksumLoad64(p) ^ kCk2, h0 ^ kCk3);
-    p += 8;
-    n -= 8;
   }
   std::uint64_t tail = 0;
   for (std::size_t i = 0; i < n; ++i) {
     tail |= static_cast<std::uint64_t>(p[i]) << (8 * i);
   }
   h0 = ChecksumMix(tail ^ kCk2, h0 ^ kCk3);
-  return ChecksumMix(h0 ^ kCk0, static_cast<std::uint64_t>(len) ^ kCk1);
+  return ChecksumMix(h0 ^ kCk0, static_cast<std::uint64_t>(len_) ^ kCk1);
+}
+
+std::uint64_t CatmChecksum(const std::uint8_t* data, std::size_t len) {
+  CatmChecksumStream stream(len);
+  stream.Update(data, len);
+  return stream.Finish();
 }
 
 std::uint64_t CatmChecksum(std::string_view bytes) {
@@ -105,44 +141,6 @@ void AppendLeU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 void AppendLeI32(std::vector<std::uint8_t>& out, std::int32_t v) {
   AppendLeU32(out, static_cast<std::uint32_t>(v));
-}
-
-void AppendLeI64(std::vector<std::uint8_t>& out, std::int64_t v) {
-  AppendLeU64(out, static_cast<std::uint64_t>(v));
-}
-
-void AppendLeI32Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int32_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::int32_t));
-  } else {
-    for (const std::int32_t x : v) AppendLeI32(out, x);
-  }
-}
-
-void AppendLeI64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int64_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::int64_t));
-  } else {
-    for (const std::int64_t x : v) AppendLeI64(out, x);
-  }
-}
-
-void AppendLeU64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::uint64_t> v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(v.data());
-    out.insert(out.end(), p, p + v.size() * sizeof(std::uint64_t));
-  } else {
-    for (const std::uint64_t x : v) AppendLeU64(out, x);
-  }
-}
-
-void EncodeValue(const Value& v, std::vector<std::uint8_t>& out) {
-  v.SerializeForHash(out);
 }
 
 bool ByteReader::ReadU8(std::uint8_t& v) {

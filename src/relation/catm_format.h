@@ -42,11 +42,19 @@ namespace catmark {
 /// Dict section payload:
 ///   u32 dict_count
 ///   u64 value_offsets[dict_count + 1]   (into the blob; [0] = 0)
-///   blob                                (dict values, EncodeValue form)
+///   blob                                (dict values, value encoding)
 ///   i64 live[dict_count]
 ///   i32 codes[num_rows]                 (kNullCode = -1 marks NULL)
 ///
-/// Plain section payload: num_rows values in EncodeValue form, back to back.
+/// Plain section payload: num_rows values in the value encoding, back to
+/// back.
+///
+/// The writer streams: section lengths are computed exactly up front, each
+/// section is encoded through one small reused staging buffer (dictionary
+/// live counts and code vectors go straight from the store) while a
+/// CatmChecksumStream hashes it, and the header and meta block, which carry
+/// the section checksums, are written last. That changes only how the bytes
+/// are produced: the format is the v1 layout above, byte for byte.
 ///
 /// Values are encoded exactly as Value::SerializeForHash — a tag byte then a
 /// big-endian payload — so a dictionary blob slice doubles as the canonical
@@ -85,25 +93,36 @@ inline constexpr std::size_t kCatmMetaPerColumn = 4 + (1 + 8 + 8 + 8);
 std::uint64_t CatmChecksum(const std::uint8_t* data, std::size_t len);
 std::uint64_t CatmChecksum(std::string_view bytes);
 
+/// CatmChecksum over bytes fed in pieces. The total length seeds the state,
+/// so it is fixed up front; Finish() over exactly `total_len` bytes, split
+/// anywhere, equals the one-shot CatmChecksum of their concatenation. Whole
+/// 32-byte blocks hash straight from the caller's buffer; only a partial
+/// block is copied.
+class CatmChecksumStream {
+ public:
+  explicit CatmChecksumStream(std::size_t total_len);
+
+  /// Feeds the next `n` bytes; feeding past `total_len` is a CHECK failure.
+  void Update(const std::uint8_t* data, std::size_t n);
+
+  /// The checksum; CHECKs that exactly `total_len` bytes were fed.
+  std::uint64_t Finish() const;
+
+ private:
+  std::size_t len_;
+  std::size_t fed_ = 0;
+  std::uint64_t h0_;
+  std::uint64_t h1_;
+  std::uint8_t buf_[32];
+  std::size_t buffered_ = 0;
+};
+
 // --- Little-endian append helpers -----------------------------------------
 
 void AppendLeU16(std::vector<std::uint8_t>& out, std::uint16_t v);
 void AppendLeU32(std::vector<std::uint8_t>& out, std::uint32_t v);
 void AppendLeU64(std::vector<std::uint8_t>& out, std::uint64_t v);
 void AppendLeI32(std::vector<std::uint8_t>& out, std::int32_t v);
-void AppendLeI64(std::vector<std::uint8_t>& out, std::int64_t v);
-
-/// Bulk array forms: one memcpy on little-endian hosts, a per-element loop
-/// otherwise.
-void AppendLeI32Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int32_t> v);
-void AppendLeI64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::int64_t> v);
-void AppendLeU64Array(std::vector<std::uint8_t>& out,
-                      std::span<const std::uint64_t> v);
-
-/// Appends `v` in the format's value encoding (== Value::SerializeForHash).
-void EncodeValue(const Value& v, std::vector<std::uint8_t>& out);
 
 /// Bounds-checked forward reader over a byte range. Every Read* returns
 /// false instead of reading past the end — the loader turns that into a

@@ -1,8 +1,11 @@
 #ifndef CATMARK_RELATION_COLUMN_STORE_H_
 #define CATMARK_RELATION_COLUMN_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -27,6 +30,37 @@ struct TransparentStringHash {
 /// The shared NULL value — Get on a NULL cell returns a reference to this.
 const Value& NullValue();
 
+/// Cells of a typed int64 column: one raw int64 per row plus a NULL bitmap.
+/// NULL rows hold 0 in `values`; bit (r % 64) of `nulls[r / 64]` is set when
+/// row r is NULL. The bitmap is empty while the column holds no NULL, and
+/// otherwise has exactly ceil(rows / 64) words with no bit set past the
+/// last row.
+struct Int64Cells {
+  std::vector<std::int64_t> values;
+  std::vector<std::uint64_t> nulls;
+
+  bool is_null(std::size_t row) const {
+    return !nulls.empty() && ((nulls[row >> 6] >> (row & 63)) & 1) != 0;
+  }
+
+  /// Row `row` as a Value (NULL or int64).
+  Value cell(std::size_t row) const {
+    if (is_null(row)) return Value();
+    return Value(values[row]);
+  }
+};
+
+/// The non-NULL keys of rows [begin, end) of a typed int64 column, for the
+/// keyed-hash kernels. Sets `count` and returns a pointer to that many
+/// keys. While the range holds no NULL that pointer is into the column
+/// itself and `rows` is left empty (key i is row begin + i); otherwise the
+/// keys are compacted into `gathered` (sized >= end - begin by the caller)
+/// and `rows` receives each key's row.
+const std::int64_t* Int64KeyChunk(const Int64Cells& cells, std::size_t begin,
+                                  std::size_t end, std::int64_t* gathered,
+                                  std::vector<std::uint32_t>& rows,
+                                  std::size_t& count);
+
 /// Column-major tuple storage behind Relation.
 ///
 /// Each categorical column is dictionary-encoded: cells are int32 codes into
@@ -37,9 +71,24 @@ const Value& NullValue();
 /// recovery, frequency histograms, the embedder's category-draining guard —
 /// costs O(dictionary) instead of a full O(N) column scan.
 ///
-/// Non-categorical columns (keys, measures) fall back to a plain
-/// column-major std::vector<Value>: their values are mostly distinct, so a
-/// dictionary would just add an indirection on every access.
+/// Non-categorical columns (keys, measures) skip the dictionary: their
+/// values are mostly distinct, so a dictionary would just add an
+/// indirection on every access. A non-categorical kInt64 column is *typed*:
+/// its cells are an Int64Cells (8 bytes a row plus a NULL bitmap) instead of
+/// one 40-byte Value a row, and the .catm reader and writer, the keyed-hash
+/// kernels and the embedding map read it through Int64Column(). Other
+/// non-categorical columns (doubles, strings) stay a column-major
+/// std::vector<Value> (PlainValues()). A typed int64 column holds only
+/// int64s and NULLs; storing any other value in one is a CHECK failure.
+///
+/// Get() returns `const Value&` for every column, with the same lifetime as
+/// ever: valid until the cell is next mutated or the column grows. On a
+/// typed int64 column it is served from a boxed per-row Value view, built
+/// once (under std::call_once, so concurrent readers are safe) by the first
+/// Get or ColumnReader on that column and kept in step by every later
+/// mutation. The view costs what the untyped column did, so the library's
+/// own per-row paths never build it: they read Int64Column(), CellKey() or
+/// dictionary codes instead. BoxedViewBuilt() reports whether it exists.
 ///
 /// Sion's channel is per-tuple-per-attribute, which makes the embed/detect
 /// hot loops stream exactly one column at a time; the int32 code arrays keep
@@ -51,7 +100,7 @@ class ColumnStore {
   ColumnStore() = default;
 
   /// Lays out one column per schema attribute: dictionary-encoded when
-  /// `categorical`, plain otherwise.
+  /// `categorical`, typed int64 for other kInt64 columns, plain otherwise.
   explicit ColumnStore(const Schema& schema);
 
   std::size_t num_rows() const { return num_rows_; }
@@ -109,8 +158,29 @@ class ColumnStore {
   /// zero count are "dead": interned but not present in any row.
   const std::vector<std::int64_t>& DictLiveCounts(std::size_t col) const;
 
-  /// Plain (non-dictionary) column values, one per row.
+  /// True for a typed int64 column (non-categorical kInt64).
+  bool IsInt64Column(std::size_t col) const;
+
+  /// Raw cells of a typed int64 column. The reference is stable; its
+  /// vectors change with the column.
+  const Int64Cells& Int64Column(std::size_t col) const;
+
+  /// Per-row values of a plain column that is neither dictionary-encoded
+  /// nor typed int64 (CHECKed): double and string columns.
   const std::vector<Value>& PlainValues(std::size_t col) const;
+
+  /// True when `row`'s cell in `col` is NULL. Builds no view.
+  bool IsNull(std::size_t row, std::size_t col) const;
+
+  /// Canonical key bytes of one cell (Value::SerializeForHash form, NULL
+  /// cells included), serialized into `scratch` (cleared first) without
+  /// building a boxed view. The view is valid until `scratch` changes.
+  std::string_view CellKey(std::size_t row, std::size_t col,
+                           std::vector<std::uint8_t>& scratch) const;
+
+  /// Whether Get or a ColumnReader has built `col`'s boxed Value view. Only
+  /// a typed int64 column ever has one.
+  bool BoxedViewBuilt(std::size_t col) const;
 
   /// Interns `v` into `col`'s dictionary without touching any row; returns
   /// its code. NULL interns as kNullCode.
@@ -149,20 +219,28 @@ class ColumnStore {
                            std::vector<std::int64_t> live,
                            std::vector<std::int32_t> codes);
 
-  /// Installs a plain column's per-row values.
+  /// Installs a plain (double or string) column's per-row values.
   Status InstallPlainColumn(std::size_t col, std::vector<Value> values);
+
+  /// Installs a typed int64 column. InvalidArgument when the bitmap is
+  /// neither empty nor ceil(rows / 64) words, sets a bit past the last row,
+  /// or marks a row NULL whose value is not 0. An all-zero bitmap is
+  /// dropped.
+  Status InstallInt64Column(std::size_t col, Int64Cells cells);
 
   /// Verifies every column holds exactly `num_rows` cells and commits the
   /// row count; InvalidArgument (and the store stays inert) otherwise.
   Status FinalizeInstall(std::size_t num_rows);
 
-  /// Moves a plain column's values out (the column is left empty). The
-  /// parallel-ingest merge concatenates shard columns through this instead
-  /// of copying every string.
+  /// Move a plain or typed int64 column's cells out (the column is left
+  /// empty). The parallel-ingest merge concatenates shard columns through
+  /// these instead of copying every string.
   std::vector<Value> TakePlainColumn(std::size_t col);
+  Int64Cells TakeInt64Column(std::size_t col);
 
  private:
   friend class BulkCodeWriter;
+  friend class ColumnReader;
   struct DictColumn {
     std::vector<std::int32_t> codes;   // per-row; kNullCode == NULL
     std::vector<Value> dict;           // code -> value, append-only
@@ -175,9 +253,59 @@ class ColumnStore {
   struct PlainColumn {
     std::vector<Value> values;  // per-row
   };
+  /// Lazily built per-row Values of a typed int64 column, serving Get. A
+  /// copy starts unbuilt (it rebuilds from its own cells on demand); a move
+  /// carries a built view along, so references into it stay valid.
+  class BoxedView {
+   public:
+    BoxedView() : state_(std::make_unique<State>()) {}
+    BoxedView(const BoxedView&) : BoxedView() {}
+    BoxedView& operator=(const BoxedView&) {
+      state_ = std::make_unique<State>();
+      return *this;
+    }
+    BoxedView(BoxedView&&) noexcept = default;
+    BoxedView& operator=(BoxedView&&) noexcept = default;
+
+    /// The view, built from `cells` on first use; safe to call concurrently.
+    const std::vector<Value>& Get(const Int64Cells& cells) const;
+    /// The built view for a mutation to keep in step, or nullptr.
+    std::vector<Value>* built() const {
+      return state_ != nullptr && state_->built.load(std::memory_order_acquire)
+                 ? &state_->values
+                 : nullptr;
+    }
+    /// Drops a built view (the cells were moved out).
+    void Reset() { state_ = std::make_unique<State>(); }
+
+   private:
+    struct State {
+      std::once_flag once;
+      std::atomic<bool> built{false};
+      std::vector<Value> values;
+    };
+    std::unique_ptr<State> state_;
+  };
+  struct TypedInt64Column {
+    Int64Cells cells;
+    std::size_t null_count = 0;  // rows whose bit is set in cells.nulls
+    BoxedView boxed;
+  };
+  using AnyColumn = std::variant<DictColumn, PlainColumn, TypedInt64Column>;
 
   DictColumn& dict_column(std::size_t col);
   const DictColumn& dict_column(std::size_t col) const;
+  TypedInt64Column& int64_column(std::size_t col);
+  const TypedInt64Column& int64_column(std::size_t col) const;
+
+  /// Appends one cell (int64 or NULL, CHECKed) to a typed int64 column.
+  static void AppendInt64(TypedInt64Column& c, const Value& v);
+  /// Overwrites one cell (int64 or NULL, CHECKed) of a typed int64 column.
+  static void SetInt64(TypedInt64Column& c, std::size_t row, const Value& v);
+  /// Sets row `row`'s NULL bit, creating the bitmap on the first NULL.
+  static void MarkNull(TypedInt64Column& c, std::size_t row);
+  /// Clears row `row`'s NULL bit, dropping the bitmap with the last NULL.
+  static void ClearNull(TypedInt64Column& c, std::size_t row);
 
   std::int32_t Intern(DictColumn& c, const Value& v);
   /// Intern with the canonical key bytes already serialized (`key` must be
@@ -186,7 +314,7 @@ class ColumnStore {
   std::int32_t InternSerialized(DictColumn& c, std::string_view key,
                                 const Value& v);
 
-  std::vector<std::variant<DictColumn, PlainColumn>> columns_;
+  std::vector<AnyColumn> columns_;
   std::size_t num_rows_ = 0;
   // Reused serialization buffer for intern probes (single-threaded mutation
   // path; readers never touch it).
@@ -243,9 +371,11 @@ class BulkCodeWriter {
   bool finished_ = false;
 };
 
-/// Cheap positional cursor over one column for hot loops: resolves the
-/// dict-vs-plain branch once at construction, then reads row values with two
-/// indexed loads. `store` must outlive the reader.
+/// Cheap positional cursor over one column for per-row Value reads:
+/// resolves the column layout once at construction, then reads row values
+/// with two indexed loads. On a typed int64 column it reads the boxed view,
+/// building it if needed (hot paths read Int64Column() instead). `store`
+/// must outlive the reader.
 class ColumnReader {
  public:
   ColumnReader(const ColumnStore& store, std::size_t col);
@@ -259,12 +389,6 @@ class ColumnReader {
   }
 
   bool is_dict() const { return codes_ != nullptr; }
-  const std::vector<std::int32_t>& codes() const { return *codes_; }
-  const std::vector<Value>& dict() const { return *dict_; }
-  /// Direct row storage of a plain (non-dict) column — per-row hot loops
-  /// iterate this instead of paying the dict branch in operator[] on every
-  /// access. Only valid when !is_dict().
-  const std::vector<Value>& values() const { return *values_; }
 
  private:
   const std::vector<std::int32_t>* codes_ = nullptr;

@@ -1,6 +1,8 @@
 #include "relation/csv.h"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
@@ -176,8 +178,13 @@ std::string WriteCsvString(const Relation& rel) {
   // once here, not per cell in the row loop.
   std::vector<std::vector<std::string>> rendered(num_cols);
   std::vector<const std::vector<std::int32_t>*> codes(num_cols, nullptr);
+  std::vector<const Int64Cells*> ints(num_cols, nullptr);
   std::vector<const std::vector<Value>*> plain(num_cols, nullptr);
   for (std::size_t c = 0; c < num_cols; ++c) {
+    if (rel.store().IsInt64Column(c)) {
+      ints[c] = &rel.store().Int64Column(c);
+      continue;
+    }
     if (!rel.store().IsDictColumn(c)) {
       plain[c] = &rel.store().PlainValues(c);
       continue;
@@ -199,6 +206,14 @@ std::string WriteCsvString(const Relation& rel) {
         const std::int32_t code = (*codes[c])[r];
         if (code >= 0) out.append(rendered[c][static_cast<std::size_t>(code)]);
         // NULL renders as the empty field.
+      } else if (ints[c] != nullptr) {
+        // Value::ToString's std::to_string form, which never needs quoting.
+        if (!ints[c]->is_null(r)) {
+          char buf[24];
+          const auto [end, ec] =
+              std::to_chars(buf, buf + sizeof(buf), ints[c]->values[r]);
+          out.append(buf, end);
+        }
       } else {
         AppendField((*plain[c])[r].ToString(), out);
       }
@@ -360,6 +375,27 @@ Result<Relation> ReadCsvStringParallel(std::string_view text,
       }
       CATMARK_RETURN_IF_ERROR(store.InstallDictColumn(
           c, std::move(dict), std::move(live), std::move(codes)));
+    } else if (store.IsInt64Column(c)) {
+      // Concatenate the shards' cells; NULL bits shift by each shard's
+      // first global row.
+      Int64Cells cells;
+      cells.values.reserve(total);
+      for (Relation& part : parts) {
+        const std::size_t base = cells.values.size();
+        Int64Cells pc = part.mutable_store().TakeInt64Column(c);
+        cells.values.insert(cells.values.end(), pc.values.begin(),
+                            pc.values.end());
+        for (std::size_t w = 0; w < pc.nulls.size(); ++w) {
+          if (cells.nulls.empty()) cells.nulls.assign((total + 63) / 64, 0);
+          for (std::uint64_t word = pc.nulls[w]; word != 0;
+               word &= word - 1) {
+            const std::size_t r =
+                base + 64 * w + static_cast<std::size_t>(std::countr_zero(word));
+            cells.nulls[r >> 6] |= std::uint64_t{1} << (r & 63);
+          }
+        }
+      }
+      CATMARK_RETURN_IF_ERROR(store.InstallInt64Column(c, std::move(cells)));
     } else {
       std::vector<Value> values;
       values.reserve(total);

@@ -1,5 +1,7 @@
 #include "relation/index.h"
 
+#include <string>
+#include <string_view>
 #include <vector>
 
 namespace catmark {
@@ -18,15 +20,18 @@ Result<PrimaryKeyIndex> PrimaryKeyIndex::Build(const Relation& rel) {
   index.key_column_ =
       static_cast<std::size_t>(rel.schema().primary_key_index());
   index.rows_.reserve(rel.NumRows());
+  const ColumnStore& store = rel.store();
+  std::vector<std::uint8_t> scratch;
   for (std::size_t i = 0; i < rel.NumRows(); ++i) {
-    const Value& key = rel.Get(i, index.key_column_);
-    if (key.is_null()) {
+    if (store.IsNull(i, index.key_column_)) {
       return Status::FailedPrecondition("NULL primary key at row " +
                                         std::to_string(i));
     }
-    if (!index.rows_.emplace(KeyOf(key), i).second) {
-      return Status::FailedPrecondition("duplicate primary key '" +
-                                        key.ToString() + "'");
+    const std::string_view key = store.CellKey(i, index.key_column_, scratch);
+    if (!index.rows_.emplace(std::string(key), i).second) {
+      return Status::FailedPrecondition(
+          "duplicate primary key '" +
+          store.MaterializeRow(i)[index.key_column_].ToString() + "'");
     }
   }
   return index;

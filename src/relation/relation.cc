@@ -113,11 +113,8 @@ bool Relation::SameContent(const Relation& other) const {
                          : dict_bytes[static_cast<std::size_t>(codes[r])];
         }
       } else {
-        const std::vector<Value>& values = rel.store().PlainValues(c);
         for (std::size_t r = 0; r < rows; ++r) {
-          scratch.clear();
-          values[r].SerializeForHash(scratch);
-          keys[r].append(scratch.begin(), scratch.end());
+          keys[r] += rel.store().CellKey(r, c, scratch);
         }
       }
     }

@@ -108,8 +108,7 @@ void Value::SerializeForHash(std::vector<std::uint8_t>& out) const {
     return;
   }
   if (is_int64()) {
-    out.push_back(1);
-    AppendBigEndian64(static_cast<std::uint64_t>(AsInt64()), out);
+    SerializeInt64(AsInt64(), out);
     return;
   }
   if (is_double()) {
@@ -121,6 +120,11 @@ void Value::SerializeForHash(std::vector<std::uint8_t>& out) const {
   out.push_back(3);
   AppendBigEndian64(s.size(), out);
   out.insert(out.end(), s.begin(), s.end());
+}
+
+void Value::SerializeInt64(std::int64_t v, std::vector<std::uint8_t>& out) {
+  out.push_back(1);
+  AppendBigEndian64(static_cast<std::uint64_t>(v), out);
 }
 
 std::string_view Value::SerializeKeyInto(

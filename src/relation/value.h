@@ -61,6 +61,10 @@ class Value {
   /// length prefix). Identical values always serialize identically.
   void SerializeForHash(std::vector<std::uint8_t>& out) const;
 
+  /// Appends the SerializeForHash bytes of Value(v) without building the
+  /// Value: typed int64 columns serialize their raw cells through this.
+  static void SerializeInt64(std::int64_t v, std::vector<std::uint8_t>& out);
+
   /// Serializes into `scratch` (cleared first) and returns a view of the
   /// bytes: the canonical key form shared by dictionary interning and the
   /// embedding map, kept in one place so they can never disagree.

@@ -272,8 +272,7 @@ Result<bool> StreamSession::Insert(Relation& rel, Row row) {
 }
 
 const StreamSession::Verdict& StreamSession::VerdictFor(
-    const Value& key_value) {
-  const std::string_view key = key_value.SerializeKeyInto(scratch_);
+    std::string_view key) {
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return it->second;
   }
@@ -294,9 +293,9 @@ const StreamSession::Verdict& StreamSession::VerdictFor(
 Result<bool> StreamSession::Refresh(Relation& rel, std::size_t row_index) {
   CATMARK_RETURN_IF_ERROR(BindColumns(rel));
   if (row_index >= rel.NumRows()) return Status::OutOfRange("row index");
-  const Value& key_value = rel.Get(row_index, key_col_);
-  if (key_value.is_null()) return false;
-  const Verdict& v = VerdictFor(key_value);
+  if (rel.store().IsNull(row_index, key_col_)) return false;
+  const Verdict& v =
+      VerdictFor(rel.store().CellKey(row_index, key_col_, scratch_));
   if (!v.fit) return false;
   const std::size_t t = SelectValueIndex(v.h1, spec_.domain.size(),
                                          wm_data_.Get(v.payload_index));

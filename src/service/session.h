@@ -188,9 +188,9 @@ class StreamSession {
   /// batched k2 call over the ~1/e fit entries.
   void FinishChunk(std::vector<Verdict*>& pending);
 
-  /// Cache-or-compute for one key (the Refresh path): serialized key bytes
-  /// in scratch_. Single-shot hashing on a miss.
-  const Verdict& VerdictFor(const Value& key_value);
+  /// Cache-or-compute for one key's serialized bytes (the Refresh path).
+  /// Single-shot hashing on a miss.
+  const Verdict& VerdictFor(std::string_view key);
 
   SessionSpec spec_;
   BitVector wm_data_;  // ECC-expanded payload

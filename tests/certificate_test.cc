@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/certificate.h"
 #include "core/detector.h"
 #include "core/embedder.h"
@@ -190,6 +193,79 @@ TEST(CertificateTest, RejectsGarbage) {
   EXPECT_FALSE(WatermarkCertificate::Deserialize(
                    "catmark-certificate-v1\ndescription=x\n")
                    .ok());  // missing wm/payload
+}
+
+/// `text` with the value of line `field=` replaced by `value`.
+std::string WithField(std::string text, const std::string& field,
+                      const std::string& value) {
+  const std::size_t pos = text.find("\n" + field + "=");
+  EXPECT_NE(pos, std::string::npos) << field;
+  const std::size_t begin = pos + field.size() + 2;
+  text.replace(begin, text.find('\n', begin) - begin, value);
+  return text;
+}
+
+TEST(CertificateTest, RejectsMalformedNumbers) {
+  // Every numeric field parses its whole value: before, "e=abc" read as 0
+  // and aborted detection on CHECK_GE(e, 1), "e=5x" read as 5, and a
+  // garbled frequency read as 0.
+  const std::string text = MakeSetup().cert.Serialize();
+  const struct {
+    const char* field;
+    const char* value;
+  } kCases[] = {
+      {"e", "abc"},
+      {"e", "0"},
+      {"e", "40x"},
+      {"e", " 40"},
+      {"e", "-40"},
+      {"e", ""},
+      {"e", "99999999999999999999999"},
+      {"payload_length", "12abc"},
+      {"payload_length", "999999999999999"},
+      {"min_category_keep", "1.5"},
+      {"min_category_keep", "one"},
+      {"frequencies", "0.5,abc"},
+      {"frequencies", "0.5,,0.5"},
+      {"frequencies", "0.5,"},
+      {"bit_index_mode", "lsb"},
+      {"bit_index_mode", "MSB"},
+  };
+  for (const auto& kase : kCases) {
+    const auto result = WatermarkCertificate::Deserialize(
+        WithField(text, kase.field, kase.value));
+    ASSERT_FALSE(result.ok()) << kase.field << "=" << kase.value;
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << kase.field << "=" << kase.value << ": "
+        << result.status().ToString();
+  }
+}
+
+TEST(CertificateTest, AcceptsTheNumbersItWrites) {
+  const CertTestData s = MakeSetup();
+  const std::string text = s.cert.Serialize();
+  const WatermarkCertificate msb =
+      WatermarkCertificate::Deserialize(WithField(text, "bit_index_mode",
+                                                  "msb"))
+          .value();
+  EXPECT_EQ(msb.params.bit_index_mode, BitIndexMode::kMsbModL);
+  const WatermarkCertificate edge =
+      WatermarkCertificate::Deserialize(
+          WithField(WithField(WithField(text, "payload_length",
+                                        std::to_string(
+                                            kMaxCertificatePayloadLength)),
+                              "min_category_keep", "-3"),
+                    "frequencies", "inf,-0,1e-300,0.25"))
+          .value();
+  EXPECT_EQ(edge.payload_length, kMaxCertificatePayloadLength);
+  EXPECT_EQ(edge.params.min_category_keep, -3);
+  ASSERT_EQ(edge.frequencies.size(), 4u);
+  EXPECT_TRUE(std::isinf(edge.frequencies[0]));
+  EXPECT_EQ(edge.frequencies[3], 0.25);
+  const WatermarkCertificate no_freqs =
+      WatermarkCertificate::Deserialize(WithField(text, "frequencies", ""))
+          .value();
+  EXPECT_TRUE(no_freqs.frequencies.empty());
 }
 
 TEST(CertifiedDetectionTest, OneCallWorkflow) {

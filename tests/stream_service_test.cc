@@ -271,7 +271,9 @@ TEST(StreamSessionTest, BatchesAreAtomicOnValidationErrors) {
 }
 
 TEST(StreamSessionTest, RefreshReusesResidentStateAndRepairs) {
-  Fixture f = MakeFixture();
+  // FitnessSelector below hashes with the keyed-hash backend, so pin it;
+  // left to CATMARK_PRF, the session could pick another and disagree.
+  Fixture f = MakeFixture(PrfKind::kKeyedHash);
   StreamSession session = StreamSession::Create(SpecOf(f)).value();
   const FitnessSelector fitness(f.keys.k1, f.params.e);
   std::size_t fit_row = f.rel.NumRows();
