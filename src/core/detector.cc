@@ -169,7 +169,7 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   result.prf = plan_options.prf;
   const TuplePlan plan =
       BuildTuplePlan(rel, key_col, keys_, params_, plan_options);
-  result.fit_tuples = plan.fit_count;
+  result.fit_tuples = plan.fit_rows.size();
   result.messages_hashed = plan.messages_hashed;
 
   // Domain-index view of the target column: a sweep-provided cache skips
@@ -193,27 +193,29 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
   // front: one reused scratch buffer, heterogeneous string_view probes — no
   // per-tuple key allocation inside the tally loop.
   const std::vector<std::uint64_t> map_index =
-      options.embedding_map->LookupColumn(rel, key_col, &plan.fit);
+      options.embedding_map->LookupColumn(rel, key_col, plan.fit_rows);
 
   // Per-position vote tallies: multiple fit tuples can map to the same
   // wm_data position; they all embedded the same bit, so majority-per-
   // position cleans up attack damage before the ECC even runs. Each shard
-  // tallies into its own votes[] array; the arrays are summed afterwards —
-  // integer addition commutes, so the merged tally (and with it the whole
-  // DetectionResult) is bit-identical for every thread count.
+  // of the fit-row list tallies into its own votes[] array; the arrays are
+  // summed afterwards — integer addition commutes, so the merged tally (and
+  // with it the whole DetectionResult) is bit-identical for every thread
+  // count.
+  const std::size_t nf = plan.fit_rows.size();
   std::vector<std::vector<long>> shard_votes(
       threads, std::vector<long>(payload_len, 0));
   std::vector<std::size_t> shard_usable(threads, 0);
-  ParallelFor(rel.NumRows(), threads, [&](std::size_t shard, std::size_t begin,
-                                          std::size_t end) {
+  ParallelFor(nf, threads, [&](std::size_t shard, std::size_t begin,
+                               std::size_t end) {
     std::vector<long>& votes = shard_votes[shard];
     std::size_t usable = 0;
-    for (std::size_t j = begin; j < end; ++j) {
-      if (!plan.fit[j]) continue;
-      const std::uint64_t found = map_index[j];
+    for (std::size_t f = begin; f < end; ++f) {
+      const std::uint64_t found = map_index[f];
       if (found == EmbeddingMap::kNotFound) {
         continue;  // e.g. tuple added by Mallory
       }
+      const std::size_t j = plan.fit_rows[f];
       const std::size_t idx = static_cast<std::size_t>(found) % payload_len;
       // Determine t such that T_j(A) = a_t, then read the embedded bit
       // t & 1; NULL and out-of-domain values (A6 remap, noise) are unusable.

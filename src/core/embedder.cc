@@ -1,6 +1,5 @@
 #include "core/embedder.h"
 
-#include <bit>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -49,39 +48,13 @@ struct ApplyInputs {
   EmbeddingLedger* ledger = nullptr;
 };
 
-// Per-row verdict of the sharded classify phase.
-enum RowVerdict : std::uint8_t {
-  kUnfit = 0,
+// Per-fit-tuple verdict of the sharded classify phase.
+enum FitVerdict : std::uint8_t {
   kLedgerSkip,
-  kUnchanged,  // fit, value already selects the right bit — commit, no write
-  kAlter,      // fit, needs the code write (may still be guard-skipped)
+  kUnchanged,  // value already selects the right bit — commit, no write
+  kAlter,      // needs the code write (may still be guard-skipped)
   kGuardSkip,  // alteration vetoed by the category-draining guard
 };
-
-// Calls fn(j) for every fit row j in [begin, end), by set-bit scanning the
-// plan's packed fitness bitset: one word test skips 64 unfit rows, and the
-// body runs only for the ~1/e fit tuples — the branchless replacement for
-// the per-row `if (!plan.fit[j]) continue;` scan of every apply flavour.
-template <typename Fn>
-inline void ForEachFitRow(const std::uint64_t* fit_words, std::size_t begin,
-                          std::size_t end, Fn&& fn) {
-  if (begin >= end) return;
-  std::size_t w = begin >> 6;
-  const std::size_t wend = (end + 63) >> 6;
-  std::uint64_t word =
-      fit_words[w] & (~std::uint64_t{0} << (begin & 63));
-  for (;;) {
-    while (word != 0) {
-      const std::size_t j =
-          (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
-      if (j >= end) return;
-      fn(j);
-      word &= word - 1;
-    }
-    if (++w >= wend) return;
-    word = fit_words[w];
-  }
-}
 
 // Distinct wm_data positions hit across all shards (the serial pass's
 // position_seen counter, reassembled from per-shard bitmaps by OR — set
@@ -117,9 +90,8 @@ Status SerialApply(const ApplyInputs& in, EmbedReport& report) {
   std::size_t next_map_index = 0;
   std::vector<std::uint8_t> key_scratch;
 
-  for (std::size_t j = 0; j < rel.NumRows(); ++j) {
-    if (!plan.fit[j]) continue;
-
+  for (std::size_t f = 0; f < plan.fit_rows.size(); ++f) {
+    const std::size_t j = plan.fit_rows[f];
     if (in.ledger != nullptr && in.ledger->IsMarked(j, in.target_col)) {
       ++report.skipped_by_ledger;
       continue;
@@ -127,10 +99,10 @@ Status SerialApply(const ApplyInputs& in, EmbedReport& report) {
 
     // wm_data bit position: keyed hash (Fig. 1a) or running map (Fig. 1b).
     const std::size_t idx = map_mode ? next_map_index % in.payload_len
-                                     : plan.payload_index[j];
+                                     : plan.payload_index[f];
 
     const int bit = in.wm_data->Get(idx);
-    const std::size_t t = SelectValueIndex(plan.h1[j], in.domain_size, bit);
+    const std::size_t t = SelectValueIndex(plan.h1[f], in.domain_size, bit);
     const std::int32_t old_t = target_index.index(j);
 
     const auto commit = [&] {
@@ -193,126 +165,101 @@ struct ShardTally {
 };
 
 // Sharded apply for the k2 position path (no embedding map): the bit
-// position of every fit tuple is already in the plan, so per-tuple
-// decisions are stateless and the pass runs fused — one set-bit scan over
-// the plan's fitness bitset per shard, classifying and applying in the same
-// touch (raw code writes to disjoint row slots via the bulk writer,
-// everything else shard-local and merged in shard order below).
+// position of every fit tuple is already in the plan, so classifying a
+// tuple (ledger skip, unchanged hit or alteration) is stateless. Shards
+// split the plan's fit-row list; verdicts land in fit-row-sized arrays and
+// the apply step performs raw code writes to disjoint rows via the bulk
+// writer, everything else shard-local and merged in shard order below.
 //
-// The category-draining guard breaks the fusion: whether tuple j's
+// The category-draining guard is the one ordered step: whether tuple j's
 // alteration drains a category depends on every earlier alteration's net
-// count effect. With the guard on, the pass splits into the classic three
-// phases — parallel classify into per-row verdicts, a serial O(fit) guard
-// scan (pure array arithmetic — the keyed hashing all happened in the plan
-// build), parallel apply — with every phase iterating fit rows via the
-// bitset.
+// count effect. With the guard on (the default, min_category_keep = 1), a
+// serial O(fit) guard scan — pure array arithmetic, the keyed hashing all
+// happened in the plan build — runs between a parallel classify and a
+// parallel apply. With it off, each shard classifies and applies in one
+// pass.
 void ShardedHashApply(const ApplyInputs& in, std::size_t threads,
                       EmbedReport& report) {
   Relation& rel = *in.rel;
   const WatermarkParams& params = *in.params;
   const TuplePlan& plan = *in.plan;
   const ValueIndexColumn& target_index = *in.target_index;
-  const std::size_t n = rel.NumRows();
-  const std::uint64_t* fit_words = plan.fit_words.data();
+  const std::size_t nf = plan.fit_rows.size();
 
   BulkCodeWriter writer(rel.mutable_store(), in.target_col, threads);
   std::vector<std::vector<std::uint8_t>> shard_seen(
       threads, std::vector<std::uint8_t>(in.payload_len, 0));
   std::vector<ShardTally> tally(threads);
+  std::vector<std::uint8_t> verdict(nf);
+  std::vector<std::uint32_t> tsel(nf);
+
+  // Reads the plan, the domain-index view and the (const) ledger; writes
+  // only the fit tuples' own verdict slots.
+  const auto classify = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t f = begin; f < end; ++f) {
+      const std::size_t j = plan.fit_rows[f];
+      if (in.ledger != nullptr && in.ledger->IsMarked(j, in.target_col)) {
+        verdict[f] = kLedgerSkip;
+        continue;
+      }
+      const int bit = in.wm_data->Get(plan.payload_index[f]);
+      const std::size_t t = SelectValueIndex(plan.h1[f], in.domain_size, bit);
+      tsel[f] = static_cast<std::uint32_t>(t);
+      const std::int32_t old_t = target_index.index(j);
+      verdict[f] = (old_t >= 0 && static_cast<std::size_t>(old_t) == t)
+                       ? kUnchanged
+                       : kAlter;
+    }
+  };
+  const auto apply = [&](std::size_t shard, std::size_t begin,
+                         std::size_t end) {
+    ShardTally& t = tally[shard];
+    std::vector<std::uint8_t>& seen = shard_seen[shard];
+    for (std::size_t f = begin; f < end; ++f) {
+      const std::size_t j = plan.fit_rows[f];
+      switch (verdict[f]) {
+        case kUnchanged:
+          ++t.unchanged;
+          break;
+        case kAlter:
+          writer.Write(shard, j, (*in.code_of_t)[tsel[f]]);
+          ++t.altered;
+          break;
+        case kLedgerSkip:
+          ++t.ledger_skips;
+          continue;
+        default:
+          continue;
+      }
+      seen[plan.payload_index[f]] = 1;
+      if (in.ledger != nullptr) t.marks.push_back(j);
+    }
+  };
 
   if (params.min_category_keep == 0) {
-    // Fused classify/apply: fitness bitset AND ledger skip AND value
-    // comparison resolve in one pass, no verdict materialization at all.
-    ParallelFor(n, threads,
+    ParallelFor(nf, threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  ShardTally& t = tally[shard];
-                  std::vector<std::uint8_t>& seen = shard_seen[shard];
-                  ForEachFitRow(fit_words, begin, end, [&](std::size_t j) {
-                    if (in.ledger != nullptr &&
-                        in.ledger->IsMarked(j, in.target_col)) {
-                      ++t.ledger_skips;
-                      return;
-                    }
-                    const std::size_t idx = plan.payload_index[j];
-                    const int bit = in.wm_data->Get(idx);
-                    const std::size_t tv =
-                        SelectValueIndex(plan.h1[j], in.domain_size, bit);
-                    const std::int32_t old_t = target_index.index(j);
-                    if (old_t >= 0 && static_cast<std::size_t>(old_t) == tv) {
-                      ++t.unchanged;
-                    } else {
-                      writer.Write(shard, j, (*in.code_of_t)[tv]);
-                      ++t.altered;
-                    }
-                    seen[idx] = 1;
-                    if (in.ledger != nullptr) t.marks.push_back(j);
-                  });
+                  classify(begin, end);
+                  apply(shard, begin, end);
                 });
   } else {
-    std::vector<std::uint8_t> verdict(n, kUnfit);
-    std::vector<std::uint32_t> tsel(n, 0);
-
-    // Phase 1: classify. Reads the plan, the domain-index view and (const)
-    // ledger; writes only per-row slots.
-    ParallelFor(n, threads,
+    ParallelFor(nf, threads,
                 [&](std::size_t, std::size_t begin, std::size_t end) {
-                  ForEachFitRow(fit_words, begin, end, [&](std::size_t j) {
-                    if (in.ledger != nullptr &&
-                        in.ledger->IsMarked(j, in.target_col)) {
-                      verdict[j] = kLedgerSkip;
-                      return;
-                    }
-                    const std::size_t idx = plan.payload_index[j];
-                    const int bit = in.wm_data->Get(idx);
-                    const std::size_t t =
-                        SelectValueIndex(plan.h1[j], in.domain_size, bit);
-                    tsel[j] = static_cast<std::uint32_t>(t);
-                    const std::int32_t old_t = target_index.index(j);
-                    verdict[j] =
-                        (old_t >= 0 && static_cast<std::size_t>(old_t) == t)
-                            ? kUnchanged
-                            : kAlter;
-                  });
+                  classify(begin, end);
                 });
-
-    // Guard resolution, inherently ordered (see above).
     std::vector<long>& category_count = *in.category_count;
-    ForEachFitRow(fit_words, 0, n, [&](std::size_t j) {
-      if (verdict[j] != kAlter) return;
-      const std::int32_t old_t = target_index.index(j);
+    for (std::size_t f = 0; f < nf; ++f) {
+      if (verdict[f] != kAlter) continue;
+      const std::int32_t old_t = target_index.index(plan.fit_rows[f]);
       if (old_t >= 0 && category_count[old_t] <= params.min_category_keep) {
-        verdict[j] = kGuardSkip;
+        verdict[f] = kGuardSkip;
         ++report.skipped_by_domain_guard;
-        return;
+        continue;
       }
       if (old_t >= 0) --category_count[old_t];
-      ++category_count[tsel[j]];
-    });
-
-    // Phase 2: apply.
-    ParallelFor(n, threads,
-                [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  ShardTally& t = tally[shard];
-                  std::vector<std::uint8_t>& seen = shard_seen[shard];
-                  ForEachFitRow(fit_words, begin, end, [&](std::size_t j) {
-                    switch (verdict[j]) {
-                      case kUnchanged:
-                        ++t.unchanged;
-                        break;
-                      case kAlter:
-                        writer.Write(shard, j, (*in.code_of_t)[tsel[j]]);
-                        ++t.altered;
-                        break;
-                      case kLedgerSkip:
-                        ++t.ledger_skips;
-                        return;
-                      default:
-                        return;
-                    }
-                    seen[plan.payload_index[j]] = 1;
-                    if (in.ledger != nullptr) t.marks.push_back(j);
-                  });
-                });
+      ++category_count[tsel[f]];
+    }
+    ParallelFor(nf, threads, apply);
   }
   writer.Finish();
 
@@ -327,43 +274,37 @@ void ShardedHashApply(const ApplyInputs& in, std::size_t threads,
   report.apply_shards = threads;
 }
 
-// Two-phase sharded apply for the Figure 1(b) embedding-map path. Without
-// the draining guard or a quality assessor, *every* fit, non-ledger-marked
-// tuple commits, so the running map index the serial pass hands out is an
-// exact prefix-sum over per-shard commit counts: shard s starts at the
-// total commits of shards 0..s-1 and counts up. Phase 2 then selects
-// values, applies code writes and serializes per-shard map segments fully
-// in parallel; the segments splice in shard order, reproducing the serial
+// Two-phase sharded apply for the Figure 1(b) embedding-map path. Shards
+// split the plan's fit-row list. Without the draining guard or a quality
+// assessor, *every* fit, non-ledger-marked tuple commits, so the running
+// map index the serial pass hands out is an exact prefix-sum over
+// per-shard commit counts: shard s starts at the total commits of shards
+// 0..s-1 and counts up. Phase 2 then selects values, applies code writes
+// and serializes per-shard map segments fully in parallel; the segments splice in shard order, reproducing the serial
 // insertion sequence byte-for-byte.
 void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
                      EmbedReport& report) {
   Relation& rel = *in.rel;
   const TuplePlan& plan = *in.plan;
   const ValueIndexColumn& target_index = *in.target_index;
-  const std::size_t n = rel.NumRows();
+  const std::size_t nf = plan.fit_rows.size();
 
-  const std::uint64_t* fit_words = plan.fit_words.data();
-
-  // Per-shard commit counts. With no ledger these are the plan's per-shard
-  // fit counts (same (n, threads) partition); with a ledger, one cheap
-  // counting pass filters out already-marked cells.
+  // With a ledger, one cheap counting pass filters out already-marked
+  // cells: base[s] becomes the first global map index of shard s. Without
+  // one every fit tuple commits, so a shard's first map index is simply its
+  // first fit-row index.
   std::vector<std::size_t> base;
-  if (in.ledger == nullptr) {
-    CATMARK_CHECK_EQ(plan.shard_fit.size(), threads);
-    base = plan.shard_fit;
-  } else {
+  if (in.ledger != nullptr) {
     base.assign(threads, 0);
-    ParallelFor(n, threads,
+    ParallelFor(nf, threads,
                 [&](std::size_t shard, std::size_t begin, std::size_t end) {
-                  std::size_t commits = 0;
-                  ForEachFitRow(fit_words, begin, end, [&](std::size_t j) {
-                    if (!in.ledger->IsMarked(j, in.target_col)) ++commits;
-                  });
-                  base[shard] = commits;
+                  for (std::size_t f = begin; f < end; ++f) {
+                    base[shard] +=
+                        !in.ledger->IsMarked(plan.fit_rows[f], in.target_col);
+                  }
                 });
+    ExclusivePrefixSum(base);
   }
-  const std::vector<std::size_t> shard_commits = base;
-  ExclusivePrefixSum(base);  // base[s] = first global map index of shard s
 
   // The map key is the serialized key value, which on a dict-encoded key
   // column is the same bytes for every row sharing a dict code — serialize
@@ -388,19 +329,20 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
   std::vector<ShardTally> tally(threads);
 
   ParallelFor(
-      n, threads, [&](std::size_t shard, std::size_t begin, std::size_t end) {
+      nf, threads, [&](std::size_t shard, std::size_t begin, std::size_t end) {
         ShardTally& t = tally[shard];
-        t.segment.reserve(shard_commits[shard]);
+        t.segment.reserve(end - begin);
         std::vector<std::uint8_t>& seen = shard_seen[shard];
         const std::int32_t* key_codes =
             dict_keys ? store.Codes(in.key_col).data() : nullptr;
         std::vector<std::uint8_t> scratch;
         scratch.reserve(64);
-        std::size_t map_index = base[shard];
-        ForEachFitRow(fit_words, begin, end, [&](std::size_t j) {
+        std::size_t map_index = in.ledger != nullptr ? base[shard] : begin;
+        for (std::size_t f = begin; f < end; ++f) {
+          const std::size_t j = plan.fit_rows[f];
           if (in.ledger != nullptr && in.ledger->IsMarked(j, in.target_col)) {
             ++t.ledger_skips;
-            return;
+            continue;
           }
           // Global map indices wrap around the payload exactly like the
           // serial pass's next_map_index % payload_len — including across
@@ -408,7 +350,7 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
           const std::size_t idx = map_index % in.payload_len;
           const int bit = in.wm_data->Get(idx);
           const std::size_t tval =
-              SelectValueIndex(plan.h1[j], in.domain_size, bit);
+              SelectValueIndex(plan.h1[f], in.domain_size, bit);
           const std::int32_t old_t = target_index.index(j);
           if (old_t >= 0 && static_cast<std::size_t>(old_t) == tval) {
             ++t.unchanged;
@@ -426,7 +368,7 @@ void ShardedMapApply(const ApplyInputs& in, std::size_t threads,
           }
           if (in.ledger != nullptr) t.marks.push_back(j);
           ++map_index;
-        });
+        }
       });
   writer.Finish();
 
@@ -522,7 +464,7 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
   report.prf = plan_options.prf;
   const TuplePlan plan =
       BuildTuplePlan(rel, key_col, keys_, params_, plan_options);
-  report.rows_scanned = plan.size();
+  report.rows_scanned = rel.NumRows();
   report.messages_hashed = plan.messages_hashed;
 
   // Dictionary-encoded targets apply alterations as raw code writes: intern
@@ -556,7 +498,7 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
     category_count = target_index.CountPerCategory(domain_size);
   }
 
-  report.fit_tuples = plan.fit_count;
+  report.fit_tuples = plan.fit_rows.size();
 
   ApplyInputs inputs;
   inputs.rel = &rel;
@@ -580,8 +522,8 @@ Result<EmbedReport> Embedder::Embed(Relation& rel,
   // the map + draining-guard combination makes each tuple's bit position
   // depend on every earlier guard outcome. Those run the reference serial
   // pass (apply_shards stays 1). At threads == 1 the sharded passes run
-  // inline on the calling thread — the fused bitset pipeline is the
-  // single-thread fast path too, not just the parallel one.
+  // inline on the calling thread — they are the single-thread fast path
+  // too, not just the parallel one.
   const bool serial_only =
       options.force_serial_apply || assessor != nullptr || !write_codes ||
       (options.build_embedding_map && params_.min_category_keep > 0);

@@ -35,8 +35,8 @@ struct EmbedOptions {
 
   /// Test-only escape hatch: force the reference serial apply pass even
   /// where the sharded pipeline would engage, so the parity suite can pin
-  /// the fused bitset pipeline byte-identical to the serial semantics (the
-  /// sharded pipeline otherwise runs even at num_threads == 1).
+  /// the sharded fit-row pipeline byte-identical to the serial semantics
+  /// (the sharded pipeline otherwise runs even at num_threads == 1).
   bool force_serial_apply = false;
 };
 
@@ -63,8 +63,8 @@ struct EmbedReport {
   double wall_seconds = 0.0;
 
   /// Shards the apply pass ran with. The sharded pipeline also runs at
-  /// num_threads == 1 (fused over the plan's fitness bitset, inline on the
-  /// calling thread); 1 here therefore means one shard, not necessarily the
+  /// num_threads == 1 (over the plan's fit-row list, inline on the calling
+  /// thread); 1 here therefore means one shard, not necessarily the
   /// reference serial pass — that fallback engages for a QualityAssessor,
   /// map mode with the category-draining guard active, or a target that
   /// cannot take raw code writes. Purely diagnostic — every other report
@@ -89,13 +89,17 @@ class Embedder {
   /// Embeds `wm` into `rel` in place.
   ///
   /// Fully pipelined: the plan build batches fitness hashes through the
-  /// SIMD PRF kernels and packs verdicts into a bitset (see TuplePlan), and
-  /// the apply pass set-bit-scans that bitset — on the k2 path classify and
-  /// apply fuse into a single touch per fit tuple; on the map path an exact
-  /// prefix-sum over per-shard commit counts assigns each committing tuple
-  /// the global map index the serial pass would have given it, and
-  /// per-shard embedding-map segments splice in shard order. The sharded
-  /// pipeline runs even at num_threads == 1 (inline on the calling thread).
+  /// SIMD PRF kernels and keeps only the ~N/e fit tuples (see TuplePlan),
+  /// and the apply pass shards that fit-row list. On the k2 path each shard
+  /// classifies its fit tuples into fit-row-sized verdict arrays and
+  /// applies them; with the category-draining guard on — the default,
+  /// min_category_keep = 1 — a serial O(fit) guard scan runs between the
+  /// two. On the map path an exact prefix-sum over per-shard commit counts
+  /// assigns each committing tuple the global map index the serial pass
+  /// would have given it, and per-shard embedding-map segments splice in
+  /// shard order. The sharded pipeline runs even at num_threads == 1
+  /// (inline on the calling thread), and no transient allocation of the
+  /// apply pass is sized N.
   /// The resulting relation, report, map and ledger are bit-identical to
   /// the reference serial pass at any thread count and SIMD level.
   /// Inherently stateful interactions fall back to that serial pass: a

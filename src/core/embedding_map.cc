@@ -57,35 +57,35 @@ std::optional<std::size_t> EmbeddingMap::Lookup(
 
 std::vector<std::uint64_t> EmbeddingMap::LookupColumn(
     const Relation& rel, std::size_t col,
-    const std::vector<std::uint8_t>* mask) const {
-  const std::size_t n = rel.NumRows();
-  std::vector<std::uint64_t> out(n, kNotFound);
+    std::span<const std::size_t> rows) const {
+  std::vector<std::uint64_t> out(rows.size(), kNotFound);
   std::vector<std::uint8_t> scratch;
   scratch.reserve(64);
 
   if (rel.store().IsDictColumn(col)) {
-    // Probe each distinct key once, then fan the result out by code.
+    // Probe each distinct key on first use, then reuse the result by code.
     const std::vector<Value>& dict = rel.store().Dict(col);
     const std::vector<std::int32_t>& codes = rel.store().Codes(col);
-    const std::vector<std::int64_t>& live = rel.store().DictLiveCounts(col);
     std::vector<std::uint64_t> by_code(dict.size(), kNotFound);
-    for (std::size_t code = 0; code < dict.size(); ++code) {
-      if (live[code] == 0) continue;  // dead entry: no row references it
-      const auto found = Lookup(SerializeKey(dict[code], scratch));
-      if (found.has_value()) by_code[code] = *found;
-    }
-    for (std::size_t j = 0; j < n; ++j) {
-      if (mask != nullptr && !(*mask)[j]) continue;
-      if (codes[j] >= 0) out[j] = by_code[static_cast<std::size_t>(codes[j])];
+    std::vector<std::uint8_t> probed(dict.size(), 0);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::int32_t code = codes[rows[i]];
+      if (code < 0) continue;
+      const std::size_t c = static_cast<std::size_t>(code);
+      if (!probed[c]) {
+        probed[c] = 1;
+        const auto found = Lookup(SerializeKey(dict[c], scratch));
+        if (found.has_value()) by_code[c] = *found;
+      }
+      out[i] = by_code[c];
     }
     return out;
   }
 
-  for (std::size_t j = 0; j < n; ++j) {
-    if (mask != nullptr && !(*mask)[j]) continue;
-    if (rel.store().IsNull(j, col)) continue;
-    const auto found = Lookup(rel.store().CellKey(j, col, scratch));
-    if (found.has_value()) out[j] = *found;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rel.store().IsNull(rows[i], col)) continue;
+    const auto found = Lookup(rel.store().CellKey(rows[i], col, scratch));
+    if (found.has_value()) out[i] = *found;
   }
   return out;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -66,16 +67,15 @@ class EmbeddingMap {
   static std::string_view SerializeKey(const Value& pk,
                                        std::vector<std::uint8_t>& scratch);
 
-  /// Batch path for the detect loop: resolves every row of `rel`'s column
-  /// `col` in one pass, writing the found index (or kNotFound) per row.
-  /// Rows where `mask` (when non-null, sized NumRows) is 0 are skipped and
-  /// reported kNotFound — the detector passes the fitness bitmap so only
-  /// the ~N/e fit tuples are probed. One scratch buffer is reused across
-  /// rows; dictionary-encoded key columns are probed once per distinct
-  /// dictionary code instead of once per row.
+  /// Batch path for the detect loop: resolves the key of each row in
+  /// `rows` (the detector passes its plan's fit rows, so only the ~N/e fit
+  /// tuples are probed) of `rel`'s column `col`, writing one entry per
+  /// listed row: the found index, or kNotFound for a NULL or absent key.
+  /// One scratch buffer is reused across rows; on a dictionary-encoded key
+  /// column each distinct dictionary code is probed at most once.
   std::vector<std::uint64_t> LookupColumn(
       const Relation& rel, std::size_t col,
-      const std::vector<std::uint8_t>* mask = nullptr) const;
+      std::span<const std::size_t> rows) const;
 
   std::size_t size() const { return map_.size(); }
   bool empty() const { return map_.empty(); }

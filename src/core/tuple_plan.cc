@@ -4,6 +4,7 @@
 #include <limits>
 #include <optional>
 #include <string_view>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/check.h"
@@ -58,28 +59,39 @@ void CollectSetBits(const std::vector<std::uint64_t>& mask, std::size_t count,
   }
 }
 
-/// Packs plan.fit into plan.fit_words, word-parallel so shards never share
-/// a word. A separate pass (not fused into the sharded builds) because the
-/// row partition of ShardBounds is not 64-aligned at shard boundaries.
-void PackFitWords(TuplePlan& plan, std::size_t num_threads) {
-  const std::size_t n = plan.fit.size();
-  const std::size_t words = (n + 63) / 64;
-  plan.fit_words.assign(words, 0);
-  const std::uint8_t* fit = plan.fit.data();
-  std::uint64_t* out = plan.fit_words.data();
-  ParallelFor(words, EffectiveThreadCount(num_threads, words),
-              [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-                for (std::size_t w = begin; w < end; ++w) {
-                  const std::size_t base = w * 64;
-                  const std::size_t len = std::min<std::size_t>(64, n - base);
-                  std::uint64_t word = 0;
-                  for (std::size_t b = 0; b < len; ++b) {
-                    word |= static_cast<std::uint64_t>(fit[base + b] != 0)
-                            << b;
-                  }
-                  out[w] = word;
-                }
-              });
+/// Reserves a shard's share of the plan: rows / e fit entries expected.
+void ReserveShard(TuplePlan& part, std::size_t rows, std::uint64_t e,
+                  bool with_payload_index) {
+  const std::size_t expected = rows / static_cast<std::size_t>(e) + 64;
+  part.fit_rows.reserve(expected);
+  part.h1.reserve(expected);
+  if (with_payload_index) part.payload_index.reserve(expected);
+}
+
+/// Concatenates per-shard plans in shard order. Shards cover contiguous
+/// ascending row ranges, so the result is ascending and the same for every
+/// shard count.
+TuplePlan ConcatShards(std::vector<TuplePlan>& parts) {
+  if (parts.size() == 1) return std::move(parts[0]);
+  TuplePlan plan;
+  std::size_t total = 0;
+  std::size_t total_index = 0;
+  for (const TuplePlan& p : parts) {
+    total += p.fit_rows.size();
+    total_index += p.payload_index.size();
+  }
+  plan.fit_rows.reserve(total);
+  plan.h1.reserve(total);
+  plan.payload_index.reserve(total_index);
+  for (const TuplePlan& p : parts) {
+    plan.fit_rows.insert(plan.fit_rows.end(), p.fit_rows.begin(),
+                         p.fit_rows.end());
+    plan.h1.insert(plan.h1.end(), p.h1.begin(), p.h1.end());
+    plan.payload_index.insert(plan.payload_index.end(),
+                              p.payload_index.begin(), p.payload_index.end());
+    plan.messages_hashed += p.messages_hashed;
+  }
+  return plan;
 }
 
 }  // namespace
@@ -89,15 +101,11 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                          const WatermarkParams& params,
                          const TuplePlanOptions& options) {
   const std::size_t n = rel.NumRows();
-  TuplePlan plan;
-  plan.fit.assign(n, 0);
-  plan.h1.assign(n, 0);
   if (options.with_payload_index) {
     CATMARK_CHECK_GE(options.payload_len, 1u);
     CATMARK_CHECK_LE(options.payload_len,
                      static_cast<std::size_t>(
                          std::numeric_limits<std::uint32_t>::max()));
-    plan.payload_index.assign(n, 0);
   }
 
   // One immutable PRF instance per key, shared by every worker: the key
@@ -110,6 +118,7 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
   const std::size_t threads = EffectiveThreadCount(options.num_threads, n);
   const ColumnStore& store = rel.store();
   const DivisibilityCheck fit_by_e(params.e);
+  std::vector<TuplePlan> parts(threads);
 
   if (store.IsDictColumn(key_col) && options.use_dict_cache) {
     // Dictionary-encoded key column: every row with the same key value
@@ -181,27 +190,24 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
             }
           }
         });
-    // Each live distinct entry went through the PRF exactly once above.
-    for (const std::int64_t l : live) plan.messages_hashed += (l != 0);
-    plan.shard_fit.assign(threads, 0);
-    std::vector<std::size_t>& shard_fit = plan.shard_fit;
     ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
                                 std::size_t end) {
-      std::size_t local_fit = 0;
+      TuplePlan& part = parts[shard];
+      ReserveShard(part, end - begin, params.e, options.with_payload_index);
       for (std::size_t j = begin; j < end; ++j) {
         const std::int32_t code = codes[j];
         if (code < 0 || !fit_of[static_cast<std::size_t>(code)]) continue;
-        plan.fit[j] = 1;
-        plan.h1[j] = h1_of[static_cast<std::size_t>(code)];
-        ++local_fit;
+        part.fit_rows.push_back(j);
+        part.h1.push_back(h1_of[static_cast<std::size_t>(code)]);
         if (options.with_payload_index) {
-          plan.payload_index[j] = index_of[static_cast<std::size_t>(code)];
+          part.payload_index.push_back(
+              index_of[static_cast<std::size_t>(code)]);
         }
       }
-      shard_fit[shard] = local_fit;
     });
-    for (const std::size_t f : shard_fit) plan.fit_count += f;
-    PackFitWords(plan, threads);
+    TuplePlan plan = ConcatShards(parts);
+    // Each live distinct entry went through the PRF exactly once above.
+    for (const std::int64_t l : live) plan.messages_hashed += (l != 0);
     return plan;
   }
 
@@ -214,11 +220,10 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       store.IsInt64Column(key_col) ? &store.Int64Column(key_col) : nullptr;
   std::optional<ColumnReader> key_reader;
   if (int64_keys == nullptr) key_reader.emplace(store, key_col);
-  plan.shard_fit.assign(threads, 0);
-  std::vector<std::size_t>& shard_fit = plan.shard_fit;
-  std::vector<std::size_t> shard_hashed(threads, 0);
   ParallelFor(n, threads, [&](std::size_t shard, std::size_t begin,
                               std::size_t end) {
+    TuplePlan& part = parts[shard];
+    ReserveShard(part, end - begin, params.e, options.with_payload_index);
     std::vector<std::uint8_t> arena;
     std::vector<std::int64_t> vals;      // compacted int64 keys
     std::vector<std::int64_t> fit_vals;  // fit subset of the keys, for k2
@@ -234,8 +239,6 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
     fit_vals.resize(kPlanChunk);
     bounds.reserve(kPlanChunk + 1);
     rows.reserve(kPlanChunk);
-    std::size_t local_fit = 0;
-    std::size_t local_hashed = 0;
     for (std::size_t chunk = begin; chunk < end; chunk += kPlanChunk) {
       const std::size_t chunk_end = std::min(end, chunk + kPlanChunk);
       // Key i of the chunk is row chunk + i while `rows` stays empty.
@@ -264,11 +267,10 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
                             std::span<const std::size_t>(bounds),
                             std::span<std::uint64_t>(h1));
       }
-      local_hashed += count;
+      part.messages_hashed += count;
       DivisibilityMask64(fit_by_e, h1.data(), count, fit_mask.data());
       CollectSetBits(fit_mask, count, fit_sel);
       const std::size_t nfit = fit_sel.size();
-      local_fit += nfit;
       if (options.with_payload_index) {
         h2.resize(nfit);
         if (keys != nullptr) {
@@ -290,23 +292,17 @@ TuplePlan BuildTuplePlan(const Relation& rel, std::size_t key_col,
       }
       for (std::size_t f = 0; f < nfit; ++f) {
         const std::size_t i = fit_sel[f];
-        const std::size_t row = rows.empty() ? chunk + i : rows[i];
-        plan.fit[row] = 1;
-        plan.h1[row] = h1[i];
+        part.fit_rows.push_back(rows.empty() ? chunk + i : rows[i]);
+        part.h1.push_back(h1[i]);
         if (options.with_payload_index) {
-          plan.payload_index[row] =
+          part.payload_index.push_back(
               static_cast<std::uint32_t>(PayloadIndexFromHash(
-                  h2[f], options.payload_len, params.bit_index_mode));
+                  h2[f], options.payload_len, params.bit_index_mode)));
         }
       }
     }
-    shard_fit[shard] = local_fit;
-    shard_hashed[shard] = local_hashed;
   });
-  for (const std::size_t f : shard_fit) plan.fit_count += f;
-  for (const std::size_t h : shard_hashed) plan.messages_hashed += h;
-  PackFitWords(plan, threads);
-  return plan;
+  return ConcatShards(parts);
 }
 
 }  // namespace catmark

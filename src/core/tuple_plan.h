@@ -108,55 +108,44 @@ struct KeyHashBatch {
   bool all_int64_ = true;
 };
 
-/// Per-tuple precompute shared by the embed and detect hot paths, built in
-/// one thread-parallel pass over the key column (structure-of-arrays so the
-/// later per-row loops stream through flat memory):
+/// Fit-tuple precompute shared by the embed and map-detect hot paths, built
+/// in one thread-parallel pass over the key column. Only the fit tuples
+/// (Section 3.2.1: H(T_j(K), k1) mod e == 0; NULL keys are unfit) carry
+/// the mark, about N/e of N, so the plan is a sparse list over them
+/// (structure-of-arrays, entry f describes row fit_rows[f]):
 ///
-///   - fit[j]: the Section 3.2.1 fitness verdict H(T_j(K), k1) mod e == 0;
-///     NULL keys are unfit.
-///   - h1[j]: the fitness hash itself (valid iff fit[j]) — it also drives
-///     value selection, so it is computed once, not once per use.
-///   - payload_index[j]: the k2-derived wm_data position (valid iff fit[j];
-///     only populated when the k2 position path is in use — the Figure 1(b)
-///     embedding-map path assigns indices sequentially at apply time).
+///   - fit_rows[f]: the row index, strictly ascending.
+///   - h1[f]: the fitness hash itself — it also drives value selection, so
+///     it is computed once, not once per use.
+///   - payload_index[f]: the k2-derived wm_data position (only populated
+///     when the k2 position path is in use — the Figure 1(b) embedding-map
+///     path assigns indices sequentially at apply time).
+///
+/// No field is sized N: the build's per-row work streams through
+/// chunk-sized scratch, and everything it keeps scales with the fit count.
 ///
 /// All keyed hashing goes through the configured KeyedPrf backend
 /// (TuplePlanOptions::prf). Dictionary-encoded key columns hash each live
 /// distinct dictionary entry once into a per-dict-code h1/fit cache and
-/// gather per-row results through the code vector. Plain columns run the
-/// same fused chunk pipeline as DetectEngine::DetectOneShot: int64 key
-/// chunks gather raw values straight off the column storage (dense while
-/// NULL-free, lazy row backfill on the first NULL) into the typed
+/// gather fit rows through the code vector. Plain columns run the same
+/// fused chunk pipeline as DetectEngine::DetectOneShot: int64 key chunks
+/// gather raw values straight off the column storage into the typed
 /// Hash64Int64Keys kernel, anything else serializes chunk-wise into a
 /// per-worker arena hashed via Hash64Arena; fitness verdicts come from the
 /// vectorized DivisibilityMask64 bitset and only the ~1/e fit entries reach
-/// the batched k2 position hash. Neither path allocates or
-/// virtual-dispatches per row.
+/// the batched k2 position hash and the plan. Each worker appends the fit
+/// rows of its contiguous row shard; the shards concatenate in shard order,
+/// so the plan is identical at every thread count.
 struct TuplePlan {
-  std::vector<std::uint8_t> fit;
+  std::vector<std::size_t> fit_rows;
   std::vector<std::uint64_t> h1;
   std::vector<std::uint32_t> payload_index;
-  std::size_t fit_count = 0;
-
-  /// fit[], packed: bit (j % 64) of fit_words[j / 64] mirrors fit[j]. The
-  /// fused embed apply iterates fit tuples by set-bit scanning — one word
-  /// test skips 64 unfit rows — instead of branching on every fit byte.
-  /// Sized (size() + 63) / 64; always populated alongside fit.
-  std::vector<std::uint64_t> fit_words;
 
   /// Messages the build pushed through the k1 PRF: live distinct dictionary
   /// entries on the cached path, non-NULL key rows otherwise. Feeds
   /// DetectionResult::messages_hashed so map-path detections report the
   /// same work accounting as the engine.
   std::size_t messages_hashed = 0;
-
-  /// Per-shard fit counts over the ShardBounds(size(), shard_fit.size())
-  /// row partition — the sharded embed apply pass prefix-sums these to
-  /// assign each committing tuple its global map index without a serial
-  /// counting pass (valid whenever no ledger filters fit tuples further).
-  std::vector<std::size_t> shard_fit;
-
-  std::size_t size() const { return fit.size(); }
 };
 
 /// Knobs of the plan build, separated from WatermarkParams because the PRF

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -154,18 +155,42 @@ TEST(EmbeddingMapTest, LookupColumnResolvesPlainKeyColumn) {
   map.Insert(Value(std::int64_t{1}), 10);
   map.Insert(Value(std::int64_t{4}), 40);
 
-  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0);
+  const std::vector<std::size_t> all_rows = {0, 1, 2, 3, 4, 5};
+  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0, all_rows);
   ASSERT_EQ(found.size(), 6u);
   EXPECT_EQ(found[1], 10u);
   EXPECT_EQ(found[4], 40u);
   EXPECT_EQ(found[0], EmbeddingMap::kNotFound);
 
-  // Masked rows are skipped even when their key is present.
-  std::vector<std::uint8_t> mask(6, 0);
-  mask[4] = 1;
-  const std::vector<std::uint64_t> masked = map.LookupColumn(rel, 0, &mask);
-  EXPECT_EQ(masked[1], EmbeddingMap::kNotFound);
-  EXPECT_EQ(masked[4], 40u);
+  // One entry per listed row, in list order: unlisted rows are not probed
+  // even when their key is present.
+  const std::vector<std::size_t> some_rows = {0, 4};
+  const std::vector<std::uint64_t> listed =
+      map.LookupColumn(rel, 0, some_rows);
+  ASSERT_EQ(listed.size(), 2u);
+  EXPECT_EQ(listed[0], EmbeddingMap::kNotFound);
+  EXPECT_EQ(listed[1], 40u);
+  EXPECT_TRUE(map.LookupColumn(rel, 0, {}).empty());
+}
+
+TEST(EmbeddingMapTest, LookupColumnSkipsNullPlainKeys) {
+  const Schema schema =
+      Schema::Create({{"K", ColumnType::kInt64, false},
+                      {"A", ColumnType::kString, true}},
+                     "")
+          .value();
+  Relation rel(schema);
+  rel.AppendRowUnchecked({Value(std::int64_t{3}), Value("v")});
+  rel.AppendRowUnchecked({Value(), Value("v")});
+  EmbeddingMap map;
+  map.Insert(Value(std::int64_t{3}), 30);
+  // A NULL cell of a typed int64 column stores 0; the key 0 must not match.
+  map.Insert(Value(std::int64_t{0}), 99);
+  const std::vector<std::size_t> rows = {1, 0};
+  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0, rows);
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0], EmbeddingMap::kNotFound);
+  EXPECT_EQ(found[1], 30u);
 }
 
 TEST(EmbeddingMapTest, LookupColumnResolvesDictKeyColumn) {
@@ -184,12 +209,19 @@ TEST(EmbeddingMapTest, LookupColumnResolvesDictKeyColumn) {
   EmbeddingMap map;
   map.Insert(Value("x"), 2);
 
-  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0);
+  const std::vector<std::size_t> rows = {0, 1, 2, 3};
+  const std::vector<std::uint64_t> found = map.LookupColumn(rel, 0, rows);
   ASSERT_EQ(found.size(), 4u);
   EXPECT_EQ(found[0], 2u);
   EXPECT_EQ(found[1], EmbeddingMap::kNotFound);
   EXPECT_EQ(found[2], 2u);
   EXPECT_EQ(found[3], EmbeddingMap::kNotFound);  // NULL key
+
+  // Repeated and out-of-order rows resolve the same way.
+  const std::vector<std::size_t> shuffled = {2, 3, 2, 1, 0};
+  const std::vector<std::uint64_t> again = map.LookupColumn(rel, 0, shuffled);
+  EXPECT_EQ(again, (std::vector<std::uint64_t>{2, EmbeddingMap::kNotFound, 2,
+                                               EmbeddingMap::kNotFound, 2}));
 }
 
 }  // namespace

@@ -21,10 +21,12 @@
 #include "common/parallel.h"
 #include "core/detector.h"
 #include "core/embedder.h"
+#include "crypto/sha256.h"
 #include "crypto/siphash_simd.h"
 #include "exp/harness.h"
 #include "gen/sales_gen.h"
 #include "quality/assessor.h"
+#include "relation/catm_io.h"
 #include "relation/csv.h"
 
 namespace catmark {
@@ -350,8 +352,8 @@ Relation StringKeyRelation(std::size_t n, std::uint64_t seed) {
   return rel;
 }
 
-// The fused embed pipeline (typed int64 key gather, arena fallback,
-// DivisibilityMask64 fitness verdicts, bitset classify/apply) swept over
+// The embed pipeline (typed int64 key gather, arena fallback,
+// DivisibilityMask64 fitness verdicts, fit-row classify/apply) swept over
 // SIMD dispatch level x thread count x key-column shape, in both k2-position
 // and embedding-map modes with a pre-marked ledger. Every cell must be
 // byte-identical — CSV snapshot, report counters, serialized embedding map,
@@ -398,7 +400,7 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
       params.prf = PrfKind::kSipHash24;
       params.min_category_keep = 0;
 
-      // Reference: the pre-fusion serial apply pass, scalar dispatch.
+      // Reference: the serial apply pass, scalar dispatch.
       ForceSimdLevel(SimdLevel::kScalar);
       params.num_threads = 1;
       EmbedOptions ref_options = KA(map_mode);
@@ -442,6 +444,124 @@ TEST(EmbedFastPathGridTest, BitIdenticalAcrossSimdLevelsAndThreads) {
     }
   }
   ForceSimdLevel(std::nullopt);
+}
+
+// ----------------------------------------- released-bytes golden grid
+
+// A (K STRING categorical, A STRING categorical) relation: a
+// dictionary-encoded key column takes the plan's per-dict-code cache, and
+// rows sharing a key share its fitness verdict.
+Relation DictKeyRelation(std::size_t n, std::uint64_t seed) {
+  Schema schema = Schema::Create({{"K", ColumnType::kString, true},
+                                  {"A", ColumnType::kString, true}},
+                                 "")
+                      .value();
+  Relation rel(schema);
+  std::mt19937_64 rng(seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    Value k("cust-" + std::to_string(rng() % 700));
+    // Twelve common values plus a long tail of mostly single-row ones, so
+    // the draining guard at min_category_keep = 1 has categories to veto.
+    const std::uint64_t r = rng() % 1000;
+    Value a(r < 900 ? "V" + std::to_string(r % 12)
+                    : "R" + std::to_string(rng() % 400));
+    rel.AppendRowUnchecked({std::move(k), std::move(a)});
+  }
+  return rel;
+}
+
+// SHA-256 of the released .catm bytes after one embed, for every cell of
+// draining guard on/off x embedding map on/off x ledger on/off x typed
+// int64 / dictionary key column. The constants were captured from the
+// per-row plan (fit bytes plus packed fitness words) that the sparse
+// fit-row plan replaced, whose apply pass had separate fused (guard off),
+// three-phase (guard on) and serial (map + guard) flavours; every cell
+// runs at threads {1, 2, 8}, so the released bytes are pinned for all of
+// them at once.
+TEST(ReleasedBytesGoldenTest, CatmBytesMatchGoldenAtEveryThreadCount) {
+  struct Cell {
+    bool guard;
+    bool map;
+    bool ledger;
+    bool dict_key;
+    const char* sha256;
+  };
+  const Cell kCells[] = {
+      {false, false, false, false,
+       "10fbd588838d656eef04bb4bf91330dd1ef706532bbf2df497d03e076cf6de8d"},
+      {false, false, false, true,
+       "d5b9b66dbf3d5288d38f50bb3dd1c7c87617cc3bda827190c6feb10d7b2d4166"},
+      {false, false, true, false,
+       "295aab82a719a6566ed0468488682600e48a793141e8a6744d8d6d7fb837d525"},
+      {false, false, true, true,
+       "87aebca61d926ff54e2001c2c6e985cbdc38286a5416b8da2fbb6416ab884484"},
+      {false, true, false, false,
+       "665b36b34f7ec66f5aa9d814dcec8e9771d95b6609414230da5f7738de464c70"},
+      {false, true, false, true,
+       "98244c1b544283d4ee83330cd3190a5f69a9ce36f0094f9c8dbb1d522e44405f"},
+      {false, true, true, false,
+       "c040cb0010d6daba55f5795a4dede6f392767b14b6474e1284371c29b98d44bd"},
+      {false, true, true, true,
+       "19a9ed80c3741c6230074a451b2100b21e813b5b72b673b0d7a62b2257ba3e94"},
+      {true, false, false, false,
+       "69dd109fb18eb57dcc8d852c89b204cbe07483af3b5fae7703fdd27df12a4406"},
+      {true, false, false, true,
+       "f85c73d7c6fc44d1fecef3cca90193f42435ed9cfce8e2599b88bb89d54677ff"},
+      {true, false, true, false,
+       "c233ff8909f86cc790754d91694ebe6d075cba3bed536d7330be39278eb025e3"},
+      {true, false, true, true,
+       "f9ad942c03e20cd79ba2c9132881ad7f0baea75c5d24cd71ca098d2b9e6d8318"},
+      {true, true, false, false,
+       "b7b4275f0aa30c01f5ee2beecc727de2f320123b0d9e1a40c54d09dd1d9067ec"},
+      {true, true, false, true,
+       "eeff766f4a278261610453ea8b96fd8ab44ae9421984326e7d20d44e1fab2137"},
+      {true, true, true, false,
+       "6ed03ac15f8cdc7379394f5ab70a6b07c7884300c0e5ce4ce5086f81df1d8ce7"},
+      {true, true, true, true,
+       "142a935556f3d7ad18cac707f8e874b86c67006271ecbc244671f0a438526196"},
+  };
+  KeyedCategoricalConfig int64_config;
+  int64_config.num_tuples = 3000;
+  int64_config.domain_size = 150;
+  int64_config.zipf_s = 1.3;
+  int64_config.seed = 61;
+  const Relation int64_base = GenerateKeyedCategorical(int64_config);
+  const Relation dict_base = DictKeyRelation(3000, 62);
+  const BitVector wm = MakeWatermark(12, 63);
+  const WatermarkKeySet keys = WatermarkKeySet::FromSeed(63);
+
+  for (const Cell& cell : kCells) {
+    SCOPED_TRACE("guard=" + std::to_string(cell.guard) +
+                 " map=" + std::to_string(cell.map) +
+                 " ledger=" + std::to_string(cell.ledger) +
+                 " dict_key=" + std::to_string(cell.dict_key));
+    const Relation& base = cell.dict_key ? dict_base : int64_base;
+    ASSERT_EQ(base.store().IsDictColumn(0), cell.dict_key);
+    WatermarkParams params;
+    params.e = 7;
+    // Pinned, so a CATMARK_PRF leg hashes the same way.
+    params.prf = PrfKind::kSipHash24;
+    params.min_category_keep = cell.guard ? 1 : 0;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      params.num_threads = threads;
+      Relation rel = base;
+      EmbeddingLedger ledger;
+      if (cell.ledger) {
+        for (std::size_t j = 0; j < rel.NumRows(); j += 5) ledger.Mark(j, 1);
+      }
+      const EmbedReport report =
+          Embedder(keys, params)
+              .Embed(rel, KA(cell.map), wm, nullptr,
+                     cell.ledger ? &ledger : nullptr)
+              .value();
+      EXPECT_GT(report.altered_tuples, 0u);
+      if (cell.guard) EXPECT_GT(report.skipped_by_domain_guard, 0u);
+      if (cell.ledger) EXPECT_GT(report.skipped_by_ledger, 0u);
+      const std::string bytes = WriteCatmString(rel);
+      EXPECT_EQ(Sha256().Hash(bytes).ToHex(), cell.sha256);
+    }
+  }
 }
 
 // -------------------------------------------- randomized property suite

@@ -55,6 +55,7 @@
 //   --schema "Visit_Nbr:int:pk,Item_Nbr:int:cat,Dept_Desc:str:cat"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -92,15 +93,34 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  /// Numeric getters. Main validates every numeric flag up front
+  /// (CheckNumericFlags), so by the time a subcommand reads one the whole
+  /// string parses; the fallback covers an absent flag.
   double GetDouble(const std::string& name, double fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+    double value = fallback;
+    if (it != values_.end()) ParseWhole(it->second, value);
+    return value;
   }
   std::uint64_t GetUint(const std::string& name,
                         std::uint64_t fallback) const {
     const auto it = values_.find(name);
-    return it == values_.end() ? fallback
-                               : std::strtoull(it->second.c_str(), nullptr, 10);
+    std::uint64_t value = fallback;
+    if (it != values_.end()) ParseWhole(it->second, value);
+    return value;
+  }
+
+  /// Parses all of `text` into `out` with std::from_chars: no sign on
+  /// unsigned values, no leading blanks, no trailing bytes, no overflow —
+  /// "-1" and "abc" are errors, where strtoull returns 2^64 - 1 and 0.
+  template <typename T>
+  static bool ParseWhole(const std::string& text, T& out) {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end) return false;
+    out = value;
+    return true;
   }
 
  private:
@@ -110,6 +130,59 @@ class Flags {
 int Fail(const std::string& message) {
   std::fprintf(stderr, "catmark: %s\n", message.c_str());
   return 1;
+}
+
+/// Every unsigned numeric flag and the range it must parse into. e == 0
+/// would trip the Embedder/Detector precondition, a payload length past
+/// what a certificate may declare sizes the detector's vote tallies, and a
+/// thread count is capped like CATMARK_THREADS.
+struct UintFlagRange {
+  const char* name;
+  std::uint64_t min;
+  std::uint64_t max;
+};
+constexpr std::uint64_t kAnyUint = ~std::uint64_t{0};
+constexpr UintFlagRange kUintFlags[] = {
+    {"e", 1, kAnyUint},
+    {"payload-length", 0, kMaxCertificatePayloadLength},
+    {"threads", 0, 256},
+    {"n", 0, kAnyUint},
+    {"items", 0, kAnyUint},
+    {"seed", 0, kAnyUint},
+    {"top", 0, kAnyUint},
+    {"batch", 0, kAnyUint},
+};
+constexpr const char* kDoubleFlags[] = {"alpha", "fraction", "q"};
+
+/// Rejects a present numeric flag that does not parse whole or lies out of
+/// its range, naming the flag, before any subcommand reads it.
+Status CheckNumericFlags(const Flags& flags) {
+  for (const UintFlagRange& f : kUintFlags) {
+    if (!flags.Has(f.name)) continue;
+    const std::string text = flags.Get(f.name);
+    std::uint64_t value = 0;
+    if (!Flags::ParseWhole(text, value)) {
+      return Status::InvalidArgument("--" + std::string(f.name) +
+                                     " must be an unsigned integer, got '" +
+                                     text + "'");
+    }
+    if (value < f.min || value > f.max) {
+      return Status::InvalidArgument(
+          "--" + std::string(f.name) + " must be in [" +
+          std::to_string(f.min) + ", " + std::to_string(f.max) + "], got " +
+          text);
+    }
+  }
+  for (const char* name : kDoubleFlags) {
+    if (!flags.Has(name)) continue;
+    double value = 0.0;
+    if (!Flags::ParseWhole(flags.Get(name), value)) {
+      return Status::InvalidArgument("--" + std::string(name) +
+                                     " must be a number, got '" +
+                                     flags.Get(name) + "'");
+    }
+  }
+  return Status::OK();
 }
 
 /// Applies --prf to `params`. Absent flag leaves params.prf on auto
@@ -702,6 +775,9 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv, 2);
+  if (const Status s = CheckNumericFlags(flags); !s.ok()) {
+    return Fail(s.ToString());
+  }
   if (command == "gen") return RunGen(flags);
   if (command == "embed") return RunEmbed(flags);
   if (command == "detect") return RunDetect(flags);
