@@ -1,14 +1,18 @@
 #include "core/detect_engine.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <utility>
 
 #include "common/bits.h"
 #include "common/check.h"
 #include "common/parallel.h"
+#include "core/certificate.h"
 #include "core/codec.h"
 #include "core/embedder.h"
 #include "core/tuple_plan.h"
@@ -30,11 +34,57 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 
 }  // namespace
 
-/// Per-worker reusable buffers of the PerKeyPass: one k1 chunk, the fit
-/// subset's k2 probes, and the vote tally. A sweep touches these thousands
-/// of times per worker — none of them may allocate per key.
-struct DetectEngine::Scratch {
+/// One candidate's claims resolved for the PerKeyPass: validated, with its
+/// payload length, PRF backend and fitness test fixed. Its key schedules
+/// are built only when its unit runs (Lane), so a sweep holds one block's
+/// worth of them at a time.
+struct DetectEngine::Pass {
+  const KeyCandidate* candidate = nullptr;
+  std::size_t payload_len = 0;
+  PrfKind prf = PrfKind::kKeyedHash;
+  DivisibilityCheck fit_by_e{1};
+
+  /// Whether the pass may share key-lane calls with other candidates: a
+  /// siphash24 pass whose vote tally is small enough to keep one per lane
+  /// while the block runs. Anything else runs alone.
+  bool key_lane() const {
+    return prf == PrfKind::kSipHash24 && payload_len <= kMaxKeyLanePayload;
+  }
+
+  /// Largest payload a key-lane block tallies: 16 lanes x 2^16 votes x 8 B
+  /// is 8 MiB per worker. Longer payloads run alone, as they always did.
+  static constexpr std::size_t kMaxKeyLanePayload = std::size_t{1} << 16;
+};
+
+/// A pass inside a running unit, with its key schedules: the k2 position
+/// hasher and, in a key-lane block, k1's SipHash key (all a block needs of
+/// k1).
+struct DetectEngine::Lane {
+  const Pass* pass = nullptr;
+  std::unique_ptr<KeyedPrf> k2;
+  SipHashKey sip_k1;
+};
+
+/// One lane's running tally: votes per payload position plus the usable
+/// and fit counts.
+struct DetectEngine::LaneTally {
   std::vector<long> votes;
+  std::size_t usable = 0;
+  std::size_t fit = 0;
+
+  void Reset(std::size_t payload_len) {
+    votes.assign(payload_len, 0);
+    usable = 0;
+    fit = 0;
+  }
+};
+
+/// Per-worker reusable buffers of the PerKeyPass: the block's lane tallies,
+/// one k1 chunk per lane (kKeyHashBatch apart, at most kMaxKeyLanes of
+/// them), the fit subset's k2 probes. A sweep touches these thousands of
+/// times per worker — none of them may allocate per key.
+struct DetectEngine::Scratch {
+  std::vector<LaneTally> tallies;
   std::vector<std::uint64_t> h1;
   std::vector<std::uint64_t> h2;
   std::vector<std::uint64_t> fit_mask;
@@ -44,10 +94,7 @@ struct DetectEngine::Scratch {
 
 namespace {
 
-/// Scans a built plan's shard bounds for the equal-length layout: returns
-/// the common message length when every message in every shard serialized
-/// to the same byte count (and there is at least one message), -1 otherwise.
-/// Candidate sanity shared by RunPass and DetectOneShot — one source, so
+/// Candidate sanity shared by ResolvePass and DetectOneShot — one source, so
 /// the fused and planned paths cannot drift on what they reject.
 Status ValidateCandidate(const KeyCandidate& candidate) {
   if (candidate.wm_len == 0) {
@@ -62,23 +109,6 @@ Status ValidateCandidate(const KeyCandidate& candidate) {
   return Status::OK();
 }
 
-/// The payload-length precedence ladder shared by RunPass and
-/// DetectOneShot: engine/options override, then the candidate's claimed
-/// params, then re-derivation from the suspect size.
-Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
-                                               const KeyCandidate& candidate,
-                                               std::size_t num_rows) {
-  if (override_len != 0) return override_len;
-  if (candidate.params.payload_length != 0) {
-    return candidate.params.payload_length;
-  }
-  if (num_rows / candidate.params.e == 0) {
-    return Status::FailedPrecondition(
-        "cannot derive the payload length: e exceeds the suspect relation "
-        "size (N/e == 0); pass the owner-side payload_length instead");
-  }
-  return DerivePayloadLength(num_rows, candidate.params.e, candidate.wm_len);
-}
 
 /// Chunk size of the fused one-shot worker. Larger than the sweep's
 /// kKeyHashBatch: the one-shot pass touches each chunk exactly once, so
@@ -87,6 +117,30 @@ Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
 /// row) stays comfortably L2-resident even at this size.
 constexpr std::size_t kOneShotBatch = 4096;
 
+/// Appends first + i for every fit hash h[i], ascending: the fitness
+/// verdicts packed into `mask` words by DivisibilityMask64 (AVX2-vectorized,
+/// 64 per word), then set-bit iteration, so the loop touches only the ~1/e
+/// fit hashes plus one word per 64.
+void CompactFit(const DivisibilityCheck& fit_by_e,
+                std::span<const std::uint64_t> h, std::size_t first,
+                std::vector<std::uint64_t>& mask,
+                std::vector<std::uint32_t>& fit) {
+  mask.resize((h.size() + 63) / 64);
+  DivisibilityMask64(fit_by_e, h.data(), h.size(), mask.data());
+  fit.clear();
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    std::uint64_t word = mask[w];
+    while (word != 0) {
+      fit.push_back(static_cast<std::uint32_t>(
+          first + 64 * w + static_cast<std::size_t>(std::countr_zero(word))));
+      word &= word - 1;
+    }
+  }
+}
+
+/// Scans a built plan's shard bounds for the equal-length layout: returns
+/// the common message length when every message in every shard serialized
+/// to the same byte count (and there is at least one message), -1 otherwise.
 std::ptrdiff_t DetectFixedLength(
     const std::vector<std::vector<std::size_t>>& bounds) {
   std::ptrdiff_t len = -1;
@@ -105,6 +159,28 @@ std::ptrdiff_t DetectFixedLength(
 }
 
 }  // namespace
+
+Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
+                                               const KeyCandidate& candidate,
+                                               std::size_t num_rows) {
+  std::size_t payload_len = override_len;
+  if (payload_len == 0) payload_len = candidate.params.payload_length;
+  if (payload_len == 0) {
+    if (num_rows / candidate.params.e == 0) {
+      return Status::FailedPrecondition(
+          "cannot derive the payload length: e exceeds the suspect relation "
+          "size (N/e == 0); pass the owner-side payload_length instead");
+    }
+    payload_len =
+        DerivePayloadLength(num_rows, candidate.params.e, candidate.wm_len);
+  }
+  if (payload_len > kMaxCertificatePayloadLength) {
+    return Status::InvalidArgument(
+        "payload length " + std::to_string(payload_len) + " exceeds the " +
+        std::to_string(kMaxCertificatePayloadLength) + " maximum");
+  }
+  return payload_len;
+}
 
 Result<DetectEngine> DetectEngine::Create(const Relation& rel,
                                           const DetectEngineOptions& options) {
@@ -299,174 +375,215 @@ Result<DetectEngine> DetectEngine::Create(const Relation& rel,
   return engine;
 }
 
-void DetectEngine::TallyShard(std::size_t shard, const KeyedPrf& prf_k1,
-                              const KeyedPrf& prf_k2,
-                              const WatermarkParams& params,
-                              std::size_t payload_len,
-                              std::vector<long>& votes,
-                              std::size_t& usable_votes,
-                              std::size_t& fit_tuples,
-                              Scratch& scratch) const {
-  const std::vector<std::uint8_t>& arena = arena_[shard];
-  const std::vector<std::size_t>& bounds = bounds_[shard];
-  const std::size_t num_msgs = bounds.size() - 1;
-  const std::size_t base = msg_base_[shard];
-  const DivisibilityCheck fit_by_e(params.e);
-  const std::span<const std::size_t> bounds_span(bounds);
-  const bool fixed = fixed_len_ >= 0;
-  const std::size_t fixed_len = fixed ? static_cast<std::size_t>(fixed_len_)
-                                      : 0;
-
-  std::size_t usable = 0;
-  std::size_t fit_rows = 0;
-  for (std::size_t k = 0; k < num_msgs; k += kKeyHashBatch) {
-    const std::size_t len = std::min(kKeyHashBatch, num_msgs - k);
-    scratch.h1.resize(len);
-    if (fixed) {
-      // Equal-length layout: message k + i sits at (k + i) * fixed_len, so
-      // the SIMD lanes stream at a constant stride, no bounds reads at all.
-      prf_k1.Hash64Fixed(arena.data() + k * fixed_len, fixed_len, fixed_len,
-                         std::span<std::uint64_t>(scratch.h1));
-    } else {
-      prf_k1.Hash64Arena(arena.data(), bounds_span.subspan(k, len + 1),
-                         std::span<std::uint64_t>(scratch.h1));
-    }
-
-    // Compact the ~1/e fit messages of the chunk via a packed fitness
-    // bitset (the divisibility test runs AVX2-vectorized, 64 verdicts per
-    // word) and set-bit iteration — the selection loop touches only fit
-    // messages plus one word per 64 hashes — then position-hash them in
-    // one batched k2 call over the bytes still resident in the arena.
-    scratch.fit_mask.resize((len + 63) / 64);
-    DivisibilityMask64(fit_by_e, scratch.h1.data(), len,
-                       scratch.fit_mask.data());
-    scratch.fit_msg.clear();
-    for (std::size_t w = 0; w < scratch.fit_mask.size(); ++w) {
-      std::uint64_t word = scratch.fit_mask[w];
-      while (word != 0) {
-        scratch.fit_msg.push_back(static_cast<std::uint32_t>(
-            k + 64 * w + static_cast<std::size_t>(std::countr_zero(word))));
-        word &= word - 1;
-      }
-    }
-    const std::size_t nfit = scratch.fit_msg.size();
-    scratch.fit_views.clear();
-    for (std::size_t f = 0; f < nfit; ++f) {
-      const std::size_t m = scratch.fit_msg[f];
-      const std::size_t at = fixed ? m * fixed_len : bounds[m];
-      const std::size_t msg_len =
-          fixed ? fixed_len : bounds[m + 1] - bounds[m];
-      scratch.fit_views.push_back(std::string_view(
-          reinterpret_cast<const char*>(arena.data()) + at, msg_len));
-    }
-    scratch.h2.resize(nfit);
-    prf_k2.Hash64Column(scratch.fit_views,
-                        std::span<std::uint64_t>(scratch.h2));
-
-    if (dict_keys_) {
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t m = base + scratch.fit_msg[f];
-        const std::size_t idx = PayloadIndexFromHash(
-            scratch.h2[f], payload_len, params.bit_index_mode);
-        fit_rows += rows_[m];
-        usable += usable_[m];
-        votes[idx] += vote_[m];
-      }
-    } else {
-      for (std::size_t f = 0; f < nfit; ++f) {
-        const std::size_t m = base + scratch.fit_msg[f];
-        const std::size_t idx = PayloadIndexFromHash(
-            scratch.h2[f], payload_len, params.bit_index_mode);
-        const std::int32_t v = vote_[m];
-        ++fit_rows;
-        usable += (v != 0);
-        votes[idx] += v;
-      }
-    }
-  }
-  usable_votes += usable;
-  fit_tuples += fit_rows;
-}
-
-Result<DetectionResult> DetectEngine::RunPass(const KeyCandidate& candidate,
-                                              std::size_t num_threads,
-                                              Scratch& scratch) const {
-  const SteadyClock::time_point start = SteadyClock::now();
-  const Status valid = ValidateCandidate(candidate);
-  if (!valid.ok()) return valid;
-
-  DetectionResult result;
-  result.num_tuples = num_rows_;
+Result<DetectEngine::Pass> DetectEngine::ResolvePass(
+    const KeyCandidate& candidate) const {
+  CATMARK_RETURN_IF_ERROR(ValidateCandidate(candidate));
+  Pass pass;
+  pass.candidate = &candidate;
   CATMARK_ASSIGN_OR_RETURN(
-      const std::size_t payload_len,
+      pass.payload_len,
       ResolveDetectPayloadLength(default_payload_length_, candidate,
                                  num_rows_));
-  result.payload_length = payload_len;
-  CATMARK_ASSIGN_OR_RETURN(const PrfKind prf_kind,
-                           ResolvePrfKind(candidate.params.prf));
-  result.prf = prf_kind;
+  CATMARK_ASSIGN_OR_RETURN(pass.prf, ResolvePrfKind(candidate.params.prf));
+  pass.fit_by_e = DivisibilityCheck(candidate.params.e);
+  return pass;
+}
 
-  const std::unique_ptr<KeyedPrf> prf_k1 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k1, candidate.params.hash_algo);
-  const std::unique_ptr<KeyedPrf> prf_k2 =
-      CreateKeyedPrf(prf_kind, candidate.keys.k2, candidate.params.hash_algo);
+void DetectEngine::TallyChunk(std::size_t shard, std::size_t first,
+                              std::span<const std::uint64_t> h1,
+                              const Lane& lane, LaneTally& tally,
+                              Scratch& scratch) const {
+  const Pass& pass = *lane.pass;
+  const std::vector<std::uint8_t>& arena = arena_[shard];
+  const std::vector<std::size_t>& bounds = bounds_[shard];
+  const std::size_t base = msg_base_[shard];
+
+  // Compact the chunk's ~1/e fit messages, then position-hash them in one
+  // batched k2 call over the bytes still resident in the arena.
+  CompactFit(pass.fit_by_e, h1, first, scratch.fit_mask, scratch.fit_msg);
+  const std::size_t nfit = scratch.fit_msg.size();
+  scratch.fit_views.clear();
+  for (std::size_t f = 0; f < nfit; ++f) {
+    const std::size_t m = scratch.fit_msg[f];
+    scratch.fit_views.push_back(std::string_view(
+        reinterpret_cast<const char*>(arena.data()) + bounds[m],
+        bounds[m + 1] - bounds[m]));
+  }
+  scratch.h2.resize(nfit);
+  lane.k2->Hash64Column(scratch.fit_views,
+                        std::span<std::uint64_t>(scratch.h2));
+
+  // Counts accumulate in locals: a store through `votes` (long) may alias
+  // the tally's size_t counters, which would pin them to memory.
+  const BitIndexMode mode = pass.candidate->params.bit_index_mode;
+  long* const votes = tally.votes.data();
+  std::size_t usable = 0;
+  std::size_t fit = 0;
+  if (dict_keys_) {
+    for (std::size_t f = 0; f < nfit; ++f) {
+      const std::size_t m = base + scratch.fit_msg[f];
+      const std::size_t idx =
+          PayloadIndexFromHash(scratch.h2[f], pass.payload_len, mode);
+      fit += rows_[m];
+      usable += usable_[m];
+      votes[idx] += vote_[m];
+    }
+  } else {
+    for (std::size_t f = 0; f < nfit; ++f) {
+      const std::size_t m = base + scratch.fit_msg[f];
+      const std::size_t idx =
+          PayloadIndexFromHash(scratch.h2[f], pass.payload_len, mode);
+      const std::int32_t v = vote_[m];
+      ++fit;
+      usable += (v != 0);
+      votes[idx] += v;
+    }
+  }
+  tally.usable += usable;
+  tally.fit += fit;
+}
+
+void DetectEngine::TallyShard(std::size_t shard,
+                              std::span<const Lane> lanes,
+                              const KeyedPrf* lone_k1,
+                              std::span<LaneTally> tallies,
+                              Scratch& scratch) const {
+  const std::vector<std::uint8_t>& arena = arena_[shard];
+  const std::span<const std::size_t> bounds(bounds_[shard]);
+  const std::size_t num_msgs = bounds.size() - 1;
+  SipHashKey keys[kMaxKeyLanes];
+  for (std::size_t l = 0; l < lanes.size(); ++l) keys[l] = lanes[l].sip_k1;
+  scratch.h1.resize(lanes.size() * kKeyHashBatch);
+
+  for (std::size_t k = 0; k < num_msgs; k += kKeyHashBatch) {
+    const std::size_t len = std::min(kKeyHashBatch, num_msgs - k);
+    // The chunk's h1 column per lane: one key-lane call for a block, the
+    // message-lane batch forms for a lone pass.
+    if (lone_k1 == nullptr) {
+      SipHash24KeyLanes(std::span<const SipHashKey>(keys, lanes.size()),
+                        arena.data(), bounds.subspan(k, len + 1),
+                        scratch.h1.data(), kKeyHashBatch);
+    } else if (fixed_len_ >= 0) {
+      // Equal-length layout: message k + i sits at (k + i) * fixed_len, so
+      // the SIMD lanes stream at a constant stride, no bounds reads at all.
+      const std::size_t fixed_len = static_cast<std::size_t>(fixed_len_);
+      lone_k1->Hash64Fixed(arena.data() + k * fixed_len, fixed_len, fixed_len,
+                           std::span<std::uint64_t>(scratch.h1.data(), len));
+    } else {
+      lone_k1->Hash64Arena(arena.data(), bounds.subspan(k, len + 1),
+                           std::span<std::uint64_t>(scratch.h1.data(), len));
+    }
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
+      TallyChunk(shard, k,
+                 std::span<const std::uint64_t>(
+                     scratch.h1.data() + l * kKeyHashBatch, len),
+                 lanes[l], tallies[l], scratch);
+    }
+  }
+}
+
+std::vector<Result<DetectionResult>> DetectEngine::RunBlock(
+    std::span<const Pass* const> passes, std::size_t num_threads,
+    Scratch& scratch) const {
+  const SteadyClock::time_point start = SteadyClock::now();
+  const std::size_t n = passes.size();
+  CATMARK_CHECK(n >= 1 && n <= kMaxKeyLanes);
+  // A lone pass keeps the message-lane producer: with no other key to share
+  // a call with, its k1 hashes 8 (or 4) messages per call instead.
+  std::unique_ptr<KeyedPrf> lone_k1;
+  std::array<Lane, kMaxKeyLanes> lane_store;
+  const std::span<const Lane> lanes(lane_store.data(), n);
+  for (std::size_t l = 0; l < n; ++l) {
+    const Pass& pass = *passes[l];
+    const KeyCandidate& c = *pass.candidate;
+    lane_store[l].pass = &pass;
+    lane_store[l].k2 = CreateKeyedPrf(pass.prf, c.keys.k2, c.params.hash_algo);
+    if (n == 1) {
+      lone_k1 = CreateKeyedPrf(pass.prf, c.keys.k1, c.params.hash_algo);
+    } else {
+      CATMARK_CHECK(pass.key_lane()) << "a key-lane block holds siphash24 only";
+      lane_store[l].sip_k1 = DeriveSipHash24Key(c.keys.k1);
+    }
+  }
 
   const std::size_t num_shards = arena_.size();
   const std::size_t threads =
       std::max<std::size_t>(1, std::min(num_threads, num_shards));
-  std::size_t usable_votes = 0;
-  std::size_t fit_tuples = 0;
+  scratch.tallies.resize(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    scratch.tallies[l].Reset(passes[l]->payload_len);
+  }
+  const std::span<LaneTally> tallies(scratch.tallies.data(), n);
   if (threads <= 1) {
-    scratch.votes.assign(payload_len, 0);
     for (std::size_t s = 0; s < num_shards; ++s) {
-      TallyShard(s, *prf_k1, *prf_k2, candidate.params, payload_len,
-                 scratch.votes, usable_votes, fit_tuples, scratch);
+      TallyShard(s, lanes, lone_k1.get(), tallies, scratch);
     }
   } else {
-    // Message shards tally into per-worker arrays merged by commutative
+    // Message shards tally into per-worker lanes merged by commutative
     // integer sums — bit-identical at every thread count, like the
     // detector always has been.
-    std::vector<std::vector<long>> worker_votes(
-        threads, std::vector<long>(payload_len, 0));
-    std::vector<std::size_t> worker_usable(threads, 0);
-    std::vector<std::size_t> worker_fit(threads, 0);
+    std::vector<std::vector<LaneTally>> worker(threads,
+                                               std::vector<LaneTally>(n));
+    for (std::vector<LaneTally>& w : worker) {
+      for (std::size_t l = 0; l < n; ++l) w[l].Reset(passes[l]->payload_len);
+    }
     ParallelFor(num_shards, threads,
-                [&](std::size_t worker, std::size_t begin, std::size_t end) {
+                [&](std::size_t w, std::size_t begin, std::size_t end) {
                   Scratch local;
                   for (std::size_t s = begin; s < end; ++s) {
-                    TallyShard(s, *prf_k1, *prf_k2, candidate.params,
-                               payload_len, worker_votes[worker],
-                               worker_usable[worker], worker_fit[worker],
-                               local);
+                    TallyShard(s, lanes, lone_k1.get(),
+                               std::span<LaneTally>(worker[w]), local);
                   }
                 });
-    scratch.votes.assign(payload_len, 0);
-    for (std::size_t w = 0; w < threads; ++w) {
-      usable_votes += worker_usable[w];
-      fit_tuples += worker_fit[w];
-      for (std::size_t i = 0; i < payload_len; ++i) {
-        scratch.votes[i] += worker_votes[w][i];
+    for (const std::vector<LaneTally>& w : worker) {
+      for (std::size_t l = 0; l < n; ++l) {
+        tallies[l].usable += w[l].usable;
+        tallies[l].fit += w[l].fit;
+        for (std::size_t i = 0; i < w[l].votes.size(); ++i) {
+          tallies[l].votes[i] += w[l].votes[i];
+        }
       }
     }
   }
-  result.usable_votes = usable_votes;
-  result.fit_tuples = fit_tuples;
 
-  const Status finish =
-      FinishVoteTally(std::span<const long>(scratch.votes), candidate.wm_len,
-                      candidate.params.ecc, result);
-  if (!finish.ok()) return finish;
-  result.rows_scanned = num_rows_;
-  result.messages_hashed = num_messages_;
-  result.wall_seconds = SecondsSince(start);
-  return result;
+  std::vector<Result<DetectionResult>> results;
+  results.reserve(n);
+  for (std::size_t l = 0; l < n; ++l) {
+    const Pass& pass = *passes[l];
+    DetectionResult result;
+    result.num_tuples = num_rows_;
+    result.payload_length = pass.payload_len;
+    result.prf = pass.prf;
+    result.usable_votes = tallies[l].usable;
+    result.fit_tuples = tallies[l].fit;
+    const Status finish = FinishVoteTally(
+        std::span<const long>(tallies[l].votes), pass.candidate->wm_len,
+        pass.candidate->params.ecc, result);
+    if (!finish.ok()) {
+      results.emplace_back(finish);
+      continue;
+    }
+    result.rows_scanned = num_rows_;
+    result.messages_hashed = num_messages_;
+    results.emplace_back(std::move(result));
+  }
+  // Each lane's share of the block's time.
+  const double seconds = SecondsSince(start) / static_cast<double>(n);
+  for (Result<DetectionResult>& r : results) {
+    if (r.ok()) r->wall_seconds = seconds;
+  }
+  return results;
 }
 
 Result<DetectionResult> DetectEngine::Detect(
     const KeyCandidate& candidate) const {
+  CATMARK_ASSIGN_OR_RETURN(const Pass pass, ResolvePass(candidate));
+  const Pass* const one = &pass;
   Scratch scratch;
-  return RunPass(candidate,
-                 EffectiveThreadCount(num_threads_, num_messages_), scratch);
+  return std::move(
+      RunBlock(std::span<const Pass* const>(&one, 1),
+               EffectiveThreadCount(num_threads_, num_messages_), scratch)
+          .front());
 }
 
 Result<DetectionResult> DetectEngine::DetectOneShot(
@@ -614,21 +731,7 @@ Result<DetectionResult> DetectEngine::DetectOneShot(
                             std::span<std::uint64_t>(h1));
       }
       hashed += count;
-      // Fitness as a packed bitset (AVX2-vectorized divisibility test),
-      // then set-bit iteration: the compaction loop touches only the ~1/e
-      // fit rows plus one word per 64 hashes, instead of running the
-      // scalar multiply/compare chain once per row.
-      fit_mask.resize((count + 63) / 64);
-      DivisibilityMask64(fit_by_e, h1.data(), count, fit_mask.data());
-      fit_sel.clear();
-      for (std::size_t w = 0; w < fit_mask.size(); ++w) {
-        std::uint64_t word = fit_mask[w];
-        while (word != 0) {
-          fit_sel.push_back(static_cast<std::uint32_t>(
-              64 * w + static_cast<std::size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
+      CompactFit(fit_by_e, h1, 0, fit_mask, fit_sel);
       const std::size_t nfit = fit_sel.size();
       fit += nfit;
       h2.resize(nfit);
@@ -700,18 +803,59 @@ std::vector<Result<DetectionResult>> DetectEngine::DetectMany(
       candidates.size(),
       Result<DetectionResult>(Status::Internal("pass not run")));
   if (candidates.empty()) return results;
-
-  // Split the worker budget keys × shards: candidates fan out first (their
-  // passes are fully independent), and leftover workers parallelize each
-  // pass's message shards.
   const std::size_t budget = EffectiveThreadCount(num_threads_, num_rows_);
-  const std::size_t outer = std::min(budget, candidates.size());
+
+  // Resolve every candidate first; a bad one fails its own entry only.
+  std::vector<std::optional<Pass>> passes(candidates.size());
+  ParallelFor(candidates.size(), std::min(budget, candidates.size()),
+              [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
+                for (std::size_t i = begin; i < end; ++i) {
+                  Result<Pass> pass = ResolvePass(candidates[i]);
+                  if (pass.ok()) {
+                    passes[i] = std::move(pass).value();
+                  } else {
+                    results[i] = pass.status();
+                  }
+                }
+              });
+
+  // Work units: key-lane passes in candidate order, KeyLaneWidth() to a
+  // block (one message load serves every key of the block); anything else
+  // alone.
+  std::vector<std::vector<std::size_t>> units;
+  std::vector<std::size_t> block;
+  const std::size_t width = KeyLaneWidth();
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (!passes[i].has_value()) continue;
+    if (!passes[i]->key_lane()) {
+      units.push_back({i});
+      continue;
+    }
+    block.push_back(i);
+    if (block.size() == width) units.push_back(std::exchange(block, {}));
+  }
+  if (!block.empty()) units.push_back(std::move(block));
+  if (units.empty()) return results;
+
+  // Split the worker budget units × shards: units fan out first (their
+  // passes are fully independent), and leftover workers parallelize each
+  // unit's message shards.
+  const std::size_t outer = std::min(budget, units.size());
   const std::size_t inner = std::max<std::size_t>(1, budget / outer);
-  ParallelFor(candidates.size(), outer,
+  ParallelFor(units.size(), outer,
               [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
                 Scratch scratch;
-                for (std::size_t i = begin; i < end; ++i) {
-                  results[i] = RunPass(candidates[i], inner, scratch);
+                std::vector<const Pass*> unit;
+                for (std::size_t u = begin; u < end; ++u) {
+                  unit.clear();
+                  for (const std::size_t i : units[u]) {
+                    unit.push_back(&*passes[i]);
+                  }
+                  std::vector<Result<DetectionResult>> unit_results =
+                      RunBlock(unit, inner, scratch);
+                  for (std::size_t l = 0; l < unit.size(); ++l) {
+                    results[units[u][l]] = std::move(unit_results[l]);
+                  }
                 }
               });
   return results;

@@ -28,6 +28,17 @@ struct KeyCandidate {
   std::size_t wm_len = 0;
 };
 
+/// The payload-length precedence ladder every detect path shares: a nonzero
+/// `override_len` (DetectEngineOptions / DetectOptions::payload_length),
+/// then the candidate's claimed params.payload_length, then re-derivation
+/// from the suspect size (FailedPrecondition when N / e == 0). The result
+/// sizes the vote tally, so it is capped like a certificate's
+/// payload_length: above kMaxCertificatePayloadLength it is
+/// InvalidArgument, never an allocation. Requires candidate.params.e >= 1.
+Result<std::size_t> ResolveDetectPayloadLength(std::size_t override_len,
+                                               const KeyCandidate& candidate,
+                                               std::size_t num_rows);
+
 /// Inputs of the key-independent half of detection. Mirrors DetectOptions
 /// minus everything per-key; the embedding-map variant stays on Detector
 /// (a map lookup is inherently per-embedding, not per-relation).
@@ -82,12 +93,16 @@ struct DetectEngineOptions {
 /// repeat-heavy key column this is O(distinct keys) per candidate instead
 /// of O(N) — the entire row dimension was folded into the plan.
 ///
+/// DetectMany runs siphash24 candidates in key-lane blocks: one
+/// SipHash24KeyLanes call hashes a chunk of plan messages under up to
+/// KeyLaneWidth() candidates' k1 keys (16 with AVX-512, 8 with AVX2), and
+/// each resulting h1 column goes through the same tally body as a lone
+/// candidate's message-lane h1.
+///
 /// Every result is bit-identical to a standalone Detector::Detect with the
-/// same inputs, at every thread count and under every PRF backend
-/// (detect_engine_test pins the parity); Detector::Detect itself runs on
-/// this engine, so the two cannot drift. The multi-lane SIMD PRF planned
-/// next slots into the PerKeyPass via KeyedPrf::Hash64Arena without
-/// touching the plan.
+/// same inputs, at every thread count, SIMD level, block split and under
+/// every PRF backend (detect_engine_test pins the parity); Detector::Detect
+/// itself runs on this engine, so the two cannot drift.
 class DetectEngine {
  public:
   /// Builds the RelationPlan. Fails like Detector::Detect's per-relation
@@ -119,11 +134,14 @@ class DetectEngine {
   Result<DetectionResult> Detect(const KeyCandidate& candidate) const;
 
   /// Runs every candidate through the PerKeyPass, amortizing the plan
-  /// across the block and splitting the worker budget keys × shards:
-  /// candidates fan out over ParallelFor, and any leftover workers
-  /// parallelize each pass's message shards. results[i] corresponds to
-  /// candidates[i]; a bad candidate (zero wm_len, invalid keys, e == 0,
-  /// unresolvable PRF or payload length) fails that entry only.
+  /// across the block and splitting the worker budget units × shards:
+  /// units (key-lane blocks of siphash24 candidates, every other candidate
+  /// alone) fan out over ParallelFor, and any leftover workers parallelize
+  /// each unit's message shards. results[i] corresponds to candidates[i];
+  /// a bad candidate (zero wm_len, invalid keys, e == 0, unresolvable PRF,
+  /// or a payload length that cannot be derived or exceeds
+  /// kMaxCertificatePayloadLength) fails that entry only. In a key-lane
+  /// block each result's wall_seconds is its share of the block's time.
   std::vector<Result<DetectionResult>> DetectMany(
       std::span<const KeyCandidate> candidates) const;
 
@@ -134,18 +152,29 @@ class DetectEngine {
   double plan_build_seconds() const { return plan_build_seconds_; }
 
  private:
+  struct Pass;
+  struct Lane;
+  struct LaneTally;
   struct Scratch;
 
   DetectEngine() = default;
 
-  Result<DetectionResult> RunPass(const KeyCandidate& candidate,
-                                  std::size_t num_threads,
-                                  Scratch& scratch) const;
-  void TallyShard(std::size_t shard, const KeyedPrf& prf_k1,
-                  const KeyedPrf& prf_k2, const WatermarkParams& params,
-                  std::size_t payload_len, std::vector<long>& votes,
-                  std::size_t& usable_votes, std::size_t& fit_tuples,
+  Result<Pass> ResolvePass(const KeyCandidate& candidate) const;
+  /// Runs one unit of the sweep: a lone pass (k1 through the message-lane
+  /// batch forms) or a key-lane block of up to kMaxKeyLanes siphash24
+  /// passes (k1 for every lane from one SipHash24KeyLanes call per chunk).
+  /// results[l] belongs to passes[l].
+  std::vector<Result<DetectionResult>> RunBlock(
+      std::span<const Pass* const> passes, std::size_t num_threads,
+      Scratch& scratch) const;
+  void TallyShard(std::size_t shard, std::span<const Lane> lanes,
+                  const KeyedPrf* lone_k1, std::span<LaneTally> tallies,
                   Scratch& scratch) const;
+  /// The tally body after k1, the one copy every h1 producer feeds: fitness
+  /// mask, fit-message compaction, k2 positions, votes.
+  void TallyChunk(std::size_t shard, std::size_t first,
+                  std::span<const std::uint64_t> h1, const Lane& lane,
+                  LaneTally& tally, Scratch& scratch) const;
 
   // Resolved domain: an external view or the engine-owned copy (unique_ptr
   // keeps the address stable across moves).

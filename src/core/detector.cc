@@ -140,19 +140,11 @@ Result<DetectionResult> Detector::Detect(const Relation& rel,
 
   DetectionResult result;
   result.num_tuples = rel.NumRows();
-  std::size_t payload_len;
-  if (options.payload_length != 0) {
-    payload_len = options.payload_length;
-  } else if (params_.payload_length != 0) {
-    payload_len = params_.payload_length;
-  } else {
-    if (rel.NumRows() / params_.e == 0) {
-      return Status::FailedPrecondition(
-          "cannot derive the payload length: e exceeds the suspect relation "
-          "size (N/e == 0); pass the owner-side payload_length instead");
-    }
-    payload_len = DerivePayloadLength(rel.NumRows(), params_.e, wm_len);
-  }
+  CATMARK_ASSIGN_OR_RETURN(
+      const std::size_t payload_len,
+      ResolveDetectPayloadLength(options.payload_length,
+                                 KeyCandidate{keys_, params_, wm_len},
+                                 rel.NumRows()));
   result.payload_length = payload_len;
 
   // Embedding-map (Figure 2(b)) detection: the per-row fitness precompute

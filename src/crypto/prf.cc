@@ -84,26 +84,15 @@ class HmacSha256Prf final : public KeyedPrf {
 /// of oversized keys.
 class SipHash24Prf final : public KeyedPrf {
  public:
-  explicit SipHash24Prf(const SecretKey& key) {
-    Sha256 sha;
-    const Digest d =
-        sha.Hash(key.bytes().data(), key.bytes().size());
-    std::uint8_t k[16];
-    for (int i = 0; i < 16; ++i) k[i] = d.bytes[i];
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    for (int i = 7; i >= 0; --i) lo = (lo << 8) | k[i];
-    for (int i = 15; i >= 8; --i) hi = (hi << 8) | k[i];
-    k0_ = lo;
-    k1_ = hi;
-  }
+  explicit SipHash24Prf(const SecretKey& key)
+      : key_(DeriveSipHash24Key(key)) {}
 
   std::string_view Name() const override { return PrfKindName(kind()); }
   PrfKind kind() const override { return PrfKind::kSipHash24; }
 
   std::uint64_t Hash64(const std::uint8_t* data,
                        std::size_t len) const override {
-    return SipHash24(k0_, k1_, data, len);
+    return SipHash24(key_.k0, key_.k1, data, len);
   }
 
   // The batch forms all route through the multi-lane dispatcher
@@ -112,29 +101,28 @@ class SipHash24Prf final : public KeyedPrf {
   // the dispatch decision can never change a detection result.
   void Hash64Column(std::span<const std::string_view> inputs,
                     std::span<std::uint64_t> out) const override {
-    SipHash24Views(k0_, k1_, inputs, out);
+    SipHash24Views(key_.k0, key_.k1, inputs, out);
   }
 
   void Hash64Arena(const std::uint8_t* arena,
                    std::span<const std::size_t> bounds,
                    std::span<std::uint64_t> out) const override {
-    SipHash24Batch(k0_, k1_, arena, bounds, out);
+    SipHash24Batch(key_.k0, key_.k1, arena, bounds, out);
   }
 
   void Hash64Fixed(const std::uint8_t* base, std::size_t len,
                    std::size_t stride,
                    std::span<std::uint64_t> out) const override {
-    SipHash24Fixed(k0_, k1_, base, len, stride, out);
+    SipHash24Fixed(key_.k0, key_.k1, base, len, stride, out);
   }
 
   void Hash64Int64Keys(const std::int64_t* vals, std::size_t count,
                        std::span<std::uint64_t> out) const override {
-    SipHash24Int64Keys(k0_, k1_, vals, count, out);
+    SipHash24Int64Keys(key_.k0, key_.k1, vals, count, out);
   }
 
  private:
-  std::uint64_t k0_ = 0;
-  std::uint64_t k1_ = 0;
+  SipHashKey key_;
 };
 
 }  // namespace
@@ -219,6 +207,15 @@ void KeyedPrf::Hash64Int64Keys(const std::int64_t* vals, std::size_t count,
     }
     out[i] = Hash64(buf, sizeof(buf));
   }
+}
+
+SipHashKey DeriveSipHash24Key(const SecretKey& key) {
+  Sha256 sha;
+  const Digest d = sha.Hash(key.bytes().data(), key.bytes().size());
+  SipHashKey out;
+  for (int i = 7; i >= 0; --i) out.k0 = (out.k0 << 8) | d.bytes[i];
+  for (int i = 15; i >= 8; --i) out.k1 = (out.k1 << 8) | d.bytes[i];
+  return out;
 }
 
 std::unique_ptr<KeyedPrf> CreateKeyedPrf(PrfKind kind, const SecretKey& key,

@@ -11,6 +11,7 @@
 #include "common/result.h"
 #include "crypto/hash.h"
 #include "crypto/keyed_hash.h"
+#include "crypto/siphash.h"
 
 namespace catmark {
 
@@ -126,6 +127,12 @@ class KeyedPrf {
 std::unique_ptr<KeyedPrf> CreateKeyedPrf(
     PrfKind kind, const SecretKey& key,
     HashAlgorithm algo = HashAlgorithm::kSha256);
+
+/// The 128-bit SipHash-2-4 key the siphash24 backend runs under for `key`:
+/// SHA-256(key bytes)[0..16), split little-endian. The one derivation both
+/// the backend and callers that hash under many keys in one vector call
+/// (DetectEngine::DetectMany's key lanes) use, so they cannot disagree.
+SipHashKey DeriveSipHash24Key(const SecretKey& key);
 
 }  // namespace catmark
 

@@ -6,6 +6,13 @@
 
 namespace catmark {
 
+/// A SipHash-2-4 key as the two little-endian 64-bit halves the rounds
+/// consume (k0 = key bytes 0..7, k1 = bytes 8..15).
+struct SipHashKey {
+  std::uint64_t k0 = 0;
+  std::uint64_t k1 = 0;
+};
+
 /// SipHash-2-4 (Aumasson & Bernstein, 2012): a fast keyed PRF with a
 /// 128-bit key and 64-bit output, designed exactly for the "short-input
 /// authentication" shape of the watermarking fitness test. This is the raw

@@ -116,6 +116,79 @@ void SipHash24x8Avx2(std::uint64_t k0, std::uint64_t k1,
   _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 4), rb);
 }
 
+void SipHash24KeyLanesAvx2(const std::uint64_t* k0, const std::uint64_t* k1,
+                           std::size_t num_keys, const std::uint8_t* arena,
+                           const std::size_t* bounds, std::size_t count,
+                           std::uint64_t* out, std::size_t out_stride) {
+  // Keys {0..3} in the a* state set, {4..7} in b*; the initial state is
+  // computed once per call and every message word is one broadcast.
+  const __m256i ka0 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k0));
+  const __m256i kb0 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k0 + 4));
+  const __m256i ka1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k1));
+  const __m256i kb1 =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k1 + 4));
+  const __m256i c0 =
+      _mm256_set1_epi64x(static_cast<long long>(0x736f6d6570736575ULL));
+  const __m256i c1 =
+      _mm256_set1_epi64x(static_cast<long long>(0x646f72616e646f6dULL));
+  const __m256i c2 =
+      _mm256_set1_epi64x(static_cast<long long>(0x6c7967656e657261ULL));
+  const __m256i c3 =
+      _mm256_set1_epi64x(static_cast<long long>(0x7465646279746573ULL));
+  const __m256i ia0 = VXor(c0, ka0), ia1 = VXor(c1, ka1);
+  const __m256i ia2 = VXor(c2, ka0), ia3 = VXor(c3, ka1);
+  const __m256i ib0 = VXor(c0, kb0), ib1 = VXor(c1, kb1);
+  const __m256i ib2 = VXor(c2, kb0), ib3 = VXor(c3, kb1);
+  const __m256i ff = _mm256_set1_epi64x(0xff);
+  alignas(32) std::uint64_t lane_out[8];
+
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* p = arena + bounds[i];
+    const std::size_t len = bounds[i + 1] - bounds[i];
+    __m256i a0 = ia0, a1 = ia1, a2 = ia2, a3 = ia3;
+    __m256i b0 = ib0, b1 = ib1, b2 = ib2, b3 = ib3;
+    const std::size_t tail_at = len - (len % 8);
+    for (std::size_t off = 0; off != tail_at; off += 8) {
+      const __m256i m =
+          _mm256_set1_epi64x(static_cast<long long>(LoadLe64(p + off)));
+      a3 = VXor(a3, m);
+      b3 = VXor(b3, m);
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+      a0 = VXor(a0, m);
+      b0 = VXor(b0, m);
+    }
+    const __m256i f = _mm256_set1_epi64x(
+        static_cast<long long>(SipTailBlock(p + tail_at, len)));
+    a3 = VXor(a3, f);
+    b3 = VXor(b3, f);
+    CATMARK_SIP_VROUND(a0, a1, a2, a3);
+    CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    CATMARK_SIP_VROUND(a0, a1, a2, a3);
+    CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    a0 = VXor(a0, f);
+    b0 = VXor(b0, f);
+    a2 = VXor(a2, ff);
+    b2 = VXor(b2, ff);
+    for (int r = 0; r < 4; ++r) {
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    }
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_out),
+                       VXor(VXor(a0, a1), VXor(a2, a3)));
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lane_out + 4),
+                       VXor(VXor(b0, b1), VXor(b2, b3)));
+    for (std::size_t l = 0; l < num_keys; ++l) {
+      out[l * out_stride + i] = lane_out[l];
+    }
+  }
+}
+
 void SipHash24Int64BatchAvx2(std::uint64_t k0, std::uint64_t k1,
                              const std::int64_t* vals, std::size_t count,
                              std::uint64_t* out) {
@@ -233,6 +306,10 @@ std::uint64_t DivisibilityMaskWordAvx2(std::uint64_t odd_inv,
 // Avx2KernelsCompiled() returns false above, so dispatch never lands here.
 void SipHash24x8Avx2(std::uint64_t, std::uint64_t, const std::uint8_t* const*,
                      std::size_t, std::uint64_t*) {}
+void SipHash24KeyLanesAvx2(const std::uint64_t*, const std::uint64_t*,
+                           std::size_t, const std::uint8_t*,
+                           const std::size_t*, std::size_t, std::uint64_t*,
+                           std::size_t) {}
 void SipHash24Int64BatchAvx2(std::uint64_t, std::uint64_t, const std::int64_t*,
                              std::size_t, std::uint64_t*) {}
 std::uint64_t DivisibilityMaskWordAvx2(std::uint64_t, std::uint64_t,

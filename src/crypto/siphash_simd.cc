@@ -1,5 +1,6 @@
 #include "crypto/siphash_simd.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -16,6 +17,7 @@ namespace catmark {
 
 namespace {
 
+using siphash_internal::KeyLaneKernel;
 using siphash_internal::LaneKernel;
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -74,6 +76,30 @@ Dispatch CurrentDispatch() {
       return {siphash_internal::SipHash24x8Avx2, 8};
     case SimdLevel::kSse2:
       return {siphash_internal::SipHash24x4Sse2, 4};
+    case SimdLevel::kScalar:
+      break;
+  }
+#endif
+  return {};
+}
+
+struct KeyLaneDispatch {
+  KeyLaneKernel kernel = siphash_internal::SipHash24KeyLanesScalar;
+  std::size_t lanes = 8;
+};
+
+// AVX-512 is no level of its own: under kAvx2 it widens only the key-lane
+// kernel, where the CPU has it.
+KeyLaneDispatch CurrentKeyLaneDispatch() {
+#if defined(__x86_64__) || defined(_M_X64)
+  switch (ActiveSimdLevel()) {
+    case SimdLevel::kAvx2:
+      if (siphash_internal::Avx512KeyLanesSupported()) {
+        return {siphash_internal::SipHash24KeyLanesAvx512, 16};
+      }
+      return {siphash_internal::SipHash24KeyLanesAvx2, 8};
+    case SimdLevel::kSse2:
+      return {siphash_internal::SipHash24KeyLanesSse2, 4};
     case SimdLevel::kScalar:
       break;
   }
@@ -256,6 +282,30 @@ void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
   }
 }
 
+std::size_t KeyLaneWidth() { return CurrentKeyLaneDispatch().lanes; }
+
+void SipHash24KeyLanes(std::span<const SipHashKey> keys,
+                       const std::uint8_t* arena,
+                       std::span<const std::size_t> bounds, std::uint64_t* out,
+                       std::size_t out_stride) {
+  CATMARK_CHECK(!bounds.empty());
+  const std::size_t count = bounds.size() - 1;
+  CATMARK_CHECK_GE(out_stride, count);
+  const KeyLaneDispatch d = CurrentKeyLaneDispatch();
+  std::uint64_t k0[kMaxKeyLanes];
+  std::uint64_t k1[kMaxKeyLanes];
+  for (std::size_t g = 0; g < keys.size(); g += d.lanes) {
+    const std::size_t n = std::min(d.lanes, keys.size() - g);
+    for (std::size_t l = 0; l < d.lanes; ++l) {
+      const SipHashKey& key = keys[g + std::min(l, n - 1)];
+      k0[l] = key.k0;
+      k1[l] = key.k1;
+    }
+    d.kernel(k0, k1, n, arena, bounds.data(), count, out + g * out_stride,
+             out_stride);
+  }
+}
+
 void DivisibilityMask64(const DivisibilityCheck& check, const std::uint64_t* h,
                         std::size_t count, std::uint64_t* words) {
   std::size_t i = 0;
@@ -303,6 +353,35 @@ void SipHash24Views(std::uint64_t k0, std::uint64_t k1,
       },
       [&](std::size_t i) { return inputs[i].size(); });
 }
+
+namespace siphash_internal {
+
+void SipHash24KeyLanesScalar(const std::uint64_t* k0, const std::uint64_t* k1,
+                             std::size_t num_keys, const std::uint8_t* arena,
+                             const std::size_t* bounds, std::size_t count,
+                             std::uint64_t* out, std::size_t out_stride) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* msg = arena + bounds[i];
+    const std::size_t len = bounds[i + 1] - bounds[i];
+    for (std::size_t l = 0; l < num_keys; ++l) {
+      out[l * out_stride + i] = SipHash24(k0[l], k1[l], msg, len);
+    }
+  }
+}
+
+bool Avx512KeyLanesSupported() {
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  static const bool supported = Avx512KernelsCompiled() &&
+                                __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512vl");
+  return supported;
+#else
+  return false;
+#endif
+}
+
+}  // namespace siphash_internal
 
 #if defined(__x86_64__) || defined(_M_X64)
 
@@ -387,6 +466,78 @@ void SipHash24x4Sse2(std::uint64_t k0, std::uint64_t k1,
   const __m128i rb = VXor(VXor(b0, b1), VXor(b2, b3));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), ra);
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 2), rb);
+}
+
+void SipHash24KeyLanesSse2(const std::uint64_t* k0, const std::uint64_t* k1,
+                           std::size_t num_keys, const std::uint8_t* arena,
+                           const std::size_t* bounds, std::size_t count,
+                           std::uint64_t* out, std::size_t out_stride) {
+  // Keys {0,1} in the a* state set, {2,3} in b*; per message both sets
+  // start from their keys' initial state and absorb the same broadcast
+  // message words.
+  const __m128i ka0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(k0));
+  const __m128i kb0 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(k0 + 2));
+  const __m128i ka1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(k1));
+  const __m128i kb1 =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(k1 + 2));
+  const __m128i c0 =
+      _mm_set1_epi64x(static_cast<long long>(0x736f6d6570736575ULL));
+  const __m128i c1 =
+      _mm_set1_epi64x(static_cast<long long>(0x646f72616e646f6dULL));
+  const __m128i c2 =
+      _mm_set1_epi64x(static_cast<long long>(0x6c7967656e657261ULL));
+  const __m128i c3 =
+      _mm_set1_epi64x(static_cast<long long>(0x7465646279746573ULL));
+  const __m128i ia0 = VXor(c0, ka0), ia1 = VXor(c1, ka1);
+  const __m128i ia2 = VXor(c2, ka0), ia3 = VXor(c3, ka1);
+  const __m128i ib0 = VXor(c0, kb0), ib1 = VXor(c1, kb1);
+  const __m128i ib2 = VXor(c2, kb0), ib3 = VXor(c3, kb1);
+  const __m128i ff = _mm_set1_epi64x(0xff);
+  alignas(16) std::uint64_t lane_out[4];
+
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint8_t* p = arena + bounds[i];
+    const std::size_t len = bounds[i + 1] - bounds[i];
+    __m128i a0 = ia0, a1 = ia1, a2 = ia2, a3 = ia3;
+    __m128i b0 = ib0, b1 = ib1, b2 = ib2, b3 = ib3;
+    const std::size_t tail_at = len - (len % 8);
+    for (std::size_t off = 0; off != tail_at; off += 8) {
+      const __m128i m =
+          _mm_set1_epi64x(static_cast<long long>(LoadLe64(p + off)));
+      a3 = VXor(a3, m);
+      b3 = VXor(b3, m);
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+      a0 = VXor(a0, m);
+      b0 = VXor(b0, m);
+    }
+    const __m128i f =
+        _mm_set1_epi64x(static_cast<long long>(SipTailBlock(p + tail_at, len)));
+    a3 = VXor(a3, f);
+    b3 = VXor(b3, f);
+    CATMARK_SIP_VROUND(a0, a1, a2, a3);
+    CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    CATMARK_SIP_VROUND(a0, a1, a2, a3);
+    CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    a0 = VXor(a0, f);
+    b0 = VXor(b0, f);
+    a2 = VXor(a2, ff);
+    b2 = VXor(b2, ff);
+    for (int r = 0; r < 4; ++r) {
+      CATMARK_SIP_VROUND(a0, a1, a2, a3);
+      CATMARK_SIP_VROUND(b0, b1, b2, b3);
+    }
+    _mm_store_si128(reinterpret_cast<__m128i*>(lane_out),
+                    VXor(VXor(a0, a1), VXor(a2, a3)));
+    _mm_store_si128(reinterpret_cast<__m128i*>(lane_out + 2),
+                    VXor(VXor(b0, b1), VXor(b2, b3)));
+    for (std::size_t l = 0; l < num_keys; ++l) {
+      out[l * out_stride + i] = lane_out[l];
+    }
+  }
 }
 
 namespace {

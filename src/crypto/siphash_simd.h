@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "common/bits.h"
+#include "crypto/siphash.h"
 
 namespace catmark {
 
@@ -18,6 +19,11 @@ namespace catmark {
 ///   - kScalar: the reference loop in siphash.cc, one message at a time.
 ///   - kSse2:   4 independent messages per call (two 2-lane state sets).
 ///   - kAvx2:   8 independent messages per call (two 4-lane state sets).
+///
+/// The key-lane shape (SipHash24KeyLanes) has one more width: under kAvx2,
+/// a CPU that also reports AVX-512F+VL runs 16 keys per call. It is not a
+/// level of its own — CATMARK_SIMD=avx2 selects it where the hardware has
+/// it, and sse2/off clamp below it as usual.
 ///
 /// Every level is bit-identical to kScalar for every message — the lanes
 /// run the exact SipRound sequence on independent state, so the choice is
@@ -90,6 +96,32 @@ void SipHash24Views(std::uint64_t k0, std::uint64_t k1,
 void SipHash24Int64Keys(std::uint64_t k0, std::uint64_t k1,
                         const std::int64_t* vals, std::size_t count,
                         std::span<std::uint64_t> out);
+
+/// Most keys one key-lane kernel call hashes under (the AVX-512 width).
+inline constexpr std::size_t kMaxKeyLanes = 16;
+
+/// Keys per key-lane kernel call at the active level: 16 under kAvx2 on a
+/// CPU with AVX-512F+VL (two 8-lane zmm state sets), 8 under kAvx2
+/// otherwise (two 4-lane ymm sets), 4 under kSse2 (two 2-lane xmm sets),
+/// and 8 for the scalar loop, which has no width of its own (8 keeps a
+/// caller's key blocks the same as under AVX2).
+std::size_t KeyLaneWidth();
+
+/// Key-lane batch, the transpose of SipHash24Batch: many keys, each message
+/// hashed under all of them. For every key l and message i (arena bytes
+/// [bounds[i], bounds[i + 1]), so bounds.size() is the message count + 1),
+/// out[l * out_stride + i] = SipHash24(keys[l].k0, keys[l].k1, message i).
+/// out_stride must be >= the message count. The lanes of one call are
+/// keys, not messages: each message word is loaded once and broadcast to
+/// every lane, so the kernel needs no lane gathers and no length buckets,
+/// whatever the message lengths. Keys go through the kernel KeyLaneWidth()
+/// at a time; a short last group pads its lanes with copies of its last key
+/// and stores only the real ones. Bit-identical to the scalar loop at every
+/// level and for every key count.
+void SipHash24KeyLanes(std::span<const SipHashKey> keys,
+                       const std::uint8_t* arena,
+                       std::span<const std::size_t> bounds, std::uint64_t* out,
+                       std::size_t out_stride);
 
 /// Packs `check(h[i])` into a bitset: bit (i mod 64) of words[i / 64] is 1
 /// iff the divisor exactly divides h[i]; trailing bits of the last word are

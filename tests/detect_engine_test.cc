@@ -8,6 +8,7 @@
 #include "core/detect_engine.h"
 #include "core/detector.h"
 #include "core/embedder.h"
+#include "crypto/siphash_simd.h"
 #include "service/service.h"
 #include "test_util.h"
 
@@ -287,6 +288,178 @@ TEST(DetectEngineTest, DetectManyIsolatesBadCandidates) {
   EXPECT_TRUE(results[2].status().IsInvalidArgument());
   ASSERT_TRUE(results[3].ok());  // wrong e is a valid (losing) claim
   EXPECT_TRUE(results[4].status().IsInvalidArgument());
+}
+
+// -------------------------------------------------------- key-lane blocks
+
+/// RAII dispatch override; restores the environment/hardware default.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) { ForceSimdLevel(level); }
+  ~ScopedSimdLevel() { ForceSimdLevel(std::nullopt); }
+};
+
+std::vector<SimdLevel> RunnableLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (HardwareSimdLevel() >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
+  if (HardwareSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  return levels;
+}
+
+/// A sweep population for the key-lane grid: the true keys first, then
+/// non-owners whose claims vary what each lane carries (e, payload length,
+/// bit-index mode, mark length). Most are siphash24, so they form key-lane
+/// blocks; keyed-hash (i % 10 == 2) and hmac-sha256 (i % 10 == 8) ones sit
+/// between them and must run alone. Three siphash24 candidates per ten are
+/// invalid inside a block — e = 0 (i % 10 == 3), k1 == k2 (5) and a payload
+/// past the cap (6) — and must fail only their own entry.
+std::vector<KeyCandidate> LaneCandidates(const Marked& m, std::size_t count) {
+  std::vector<KeyCandidate> candidates;
+  for (std::size_t i = 0; i < count; ++i) {
+    KeyCandidate c;
+    c.keys = m.keys;
+    c.params = m.params;
+    c.params.payload_length = m.report.payload_length;
+    c.wm_len = m.wm.size();
+    if (i > 0) {
+      c.keys = WatermarkKeySet::FromSeed(500 + i);
+      c.params.e = 3 + i % 4;
+      c.params.payload_length = 12 + 4 * (i % 3);
+      c.params.bit_index_mode =
+          i % 2 == 0 ? BitIndexMode::kModulo : BitIndexMode::kMsbModL;
+      c.wm_len = 8 + i % 5;
+    }
+    switch (i % 10) {
+      case 2: c.params.prf = PrfKind::kKeyedHash; break;
+      case 8: c.params.prf = PrfKind::kHmacSha256; break;
+      case 3: c.params.e = 0; break;
+      case 5: c.keys.k2 = c.keys.k1; break;
+      case 6: c.params.payload_length = kMaxCertificatePayloadLength + 1; break;
+      default: break;
+    }
+    candidates.push_back(std::move(c));
+  }
+  return candidates;
+}
+
+// DetectMany runs siphash24 candidates in key-lane blocks (16, 8 or 4 keys
+// per kernel call by level); the engine's single Detect runs each alone on
+// the message-lane kernels. The two must agree field for field for every
+// candidate, for every block split (1, 7, 17 and 33 candidates leave
+// remainders at every width), at every SIMD level x thread count, on the
+// mixed-length dict layout and on the fixed-width int64 layout.
+void RunKeyLaneParity(bool dict_keys) {
+  const Marked m = EmbedOn(
+      dict_keys ? DictKeyRelation() : testutil::SmallKeyedRelation(),
+      PrfKind::kSipHash24);
+  const std::vector<KeyCandidate> all = LaneCandidates(m, 33);
+  const auto make_engine = [&](std::size_t threads) {
+    DetectEngineOptions options;
+    options.key_attr = testutil::kKeyAttr;
+    options.target_attr = testutil::kTargetAttr;
+    options.domain = m.report.domain;
+    options.num_threads = threads;
+    return DetectEngine::Create(m.rel, options).value();
+  };
+
+  for (const SimdLevel level : RunnableLevels()) {
+    ScopedSimdLevel forced(level);
+    std::vector<Result<DetectionResult>> expected;
+    {
+      const DetectEngine engine = make_engine(1);
+      for (const KeyCandidate& c : all) expected.push_back(engine.Detect(c));
+    }
+    ASSERT_TRUE(expected[0].ok());
+    EXPECT_EQ(expected[0].value().wm, m.wm) << "true keys must recover it";
+    for (const std::size_t bad : {3, 5, 6, 13, 15, 16}) {
+      EXPECT_TRUE(expected[bad].status().IsInvalidArgument()) << bad;
+    }
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                      std::size_t{8}}) {
+      const DetectEngine engine = make_engine(threads);
+      for (const std::size_t count : {std::size_t{1}, std::size_t{7},
+                                      std::size_t{17}, std::size_t{33}}) {
+        const std::vector<Result<DetectionResult>> many = engine.DetectMany(
+            std::span<const KeyCandidate>(all.data(), count));
+        ASSERT_EQ(many.size(), count);
+        for (std::size_t i = 0; i < count; ++i) {
+          SCOPED_TRACE("level=" + std::string(SimdLevelName(level)) +
+                       " threads=" + std::to_string(threads) +
+                       " count=" + std::to_string(count) +
+                       " candidate=" + std::to_string(i));
+          ASSERT_EQ(many[i].ok(), expected[i].ok())
+              << many[i].status().ToString();
+          if (!many[i].ok()) {
+            EXPECT_EQ(many[i].status().code(), expected[i].status().code());
+            continue;
+          }
+          ExpectSameDetection(many[i].value(), expected[i].value());
+          EXPECT_EQ(many[i].value().messages_hashed, engine.num_messages());
+        }
+      }
+    }
+  }
+}
+
+TEST(DetectEngineKeyLaneTest, DetectManyEqualsDetectDictKeys) {
+  RunKeyLaneParity(true);
+}
+
+TEST(DetectEngineKeyLaneTest, DetectManyEqualsDetectInt64Keys) {
+  RunKeyLaneParity(false);
+}
+
+// A payload length past kMaxCertificatePayloadLength sizes nothing: it is
+// InvalidArgument from every place a caller can set it — the candidate's
+// params, DetectEngineOptions, and DetectOptions on the one-shot (plain
+// and dict key) and embedding-map paths.
+TEST(DetectEngineTest, OversizedPayloadLengthIsInvalidArgument) {
+  constexpr std::size_t kHuge = std::size_t{1} << 40;
+  for (const bool dict : {false, true}) {
+    const Marked m = EmbedOn(
+        dict ? DictKeyRelation() : testutil::SmallKeyedRelation(),
+        PrfKind::kSipHash24);
+    DetectEngineOptions options;
+    options.key_attr = testutil::kKeyAttr;
+    options.target_attr = testutil::kTargetAttr;
+    options.domain = m.report.domain;
+    KeyCandidate candidate = CandidatesFor(m)[0];
+    candidate.params.payload_length = kHuge;
+    const DetectEngine engine = DetectEngine::Create(m.rel, options).value();
+    EXPECT_TRUE(engine.Detect(candidate).status().IsInvalidArgument());
+    EXPECT_TRUE(DetectEngine::DetectOneShot(m.rel, options, candidate)
+                    .status()
+                    .IsInvalidArgument());
+
+    options.payload_length = kHuge;
+    candidate.params.payload_length = 12;
+    const DetectEngine overridden =
+        DetectEngine::Create(m.rel, options).value();
+    EXPECT_TRUE(overridden.Detect(candidate).status().IsInvalidArgument());
+    EXPECT_TRUE(overridden.DetectMany(std::span<const KeyCandidate>(
+                                          &candidate, 1))[0]
+                    .status()
+                    .IsInvalidArgument());
+    EXPECT_TRUE(DetectEngine::DetectOneShot(m.rel, options, candidate)
+                    .status()
+                    .IsInvalidArgument());
+
+    DetectOptions detect_options;
+    detect_options.key_attr = testutil::kKeyAttr;
+    detect_options.target_attr = testutil::kTargetAttr;
+    detect_options.domain = m.report.domain;
+    detect_options.payload_length = kHuge;
+    const Detector detector(m.keys, m.params);
+    EXPECT_TRUE(detector.Detect(m.rel, detect_options, m.wm.size())
+                    .status()
+                    .IsInvalidArgument());
+    const EmbeddingMap map;
+    detect_options.embedding_map = &map;
+    EXPECT_TRUE(detector.Detect(m.rel, detect_options, m.wm.size())
+                    .status()
+                    .IsInvalidArgument());
+  }
 }
 
 // ---------------------------------------------------------- service sweep

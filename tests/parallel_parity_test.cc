@@ -556,8 +556,12 @@ TEST(ReleasedBytesGoldenTest, CatmBytesMatchGoldenAtEveryThreadCount) {
                      cell.ledger ? &ledger : nullptr)
               .value();
       EXPECT_GT(report.altered_tuples, 0u);
-      if (cell.guard) EXPECT_GT(report.skipped_by_domain_guard, 0u);
-      if (cell.ledger) EXPECT_GT(report.skipped_by_ledger, 0u);
+      if (cell.guard) {
+        EXPECT_GT(report.skipped_by_domain_guard, 0u);
+      }
+      if (cell.ledger) {
+        EXPECT_GT(report.skipped_by_ledger, 0u);
+      }
       const std::string bytes = WriteCatmString(rel);
       EXPECT_EQ(Sha256().Hash(bytes).ToHex(), cell.sha256);
     }
@@ -754,7 +758,9 @@ void ExpectEmbedMatchesSerial(const Relation& base,
                                  .Embed(rel, options, wm, nullptr,
                                         parallel_ledger)
                                  .value();
-  if (expect_shards != 0) EXPECT_EQ(report.apply_shards, expect_shards);
+  if (expect_shards != 0) {
+    EXPECT_EQ(report.apply_shards, expect_shards);
+  }
   ExpectReportsEqual(serial, report);
   EXPECT_EQ(WriteCsvString(rel), WriteCsvString(serial_rel));
 }

@@ -1,14 +1,18 @@
 // The multi-lane SipHash-2-4 backend: lane-by-lane pins against the
 // published reference vectors, SIMD-vs-scalar bit-identity across random
 // message lengths (including the fixed-width serialized-key shapes), the
-// bounds-edge cases of the batch entry points, and end-to-end detect parity
-// across forced dispatch levels x thread counts.
+// bounds-edge cases of the batch entry points, the key-lane kernels (many
+// keys, one message) at every width this CPU has, and end-to-end detect
+// parity across forced dispatch levels x thread counts.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iostream>
 #include <limits>
 #include <random>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -19,6 +23,7 @@
 #include "crypto/prf.h"
 #include "crypto/siphash.h"
 #include "crypto/siphash_simd.h"
+#include "crypto/siphash_simd_internal.h"
 #include "relation/value.h"
 #include "test_util.h"
 
@@ -320,6 +325,203 @@ TEST(SimdSipHashTest, EmptyMessagesEveryLevel) {
                      std::span<std::uint64_t>(out));
       for (const std::uint64_t h : out) EXPECT_EQ(h, expected);
     }
+  }
+}
+
+// ------------------------------------------------------------- key lanes
+
+/// A key-lane kernel this CPU can run, called directly (not through the
+/// dispatcher), with the number of keys it computes per message. The
+/// scalar loop has no width; 16 covers every key count the others take.
+struct KeyLaneKernelCase {
+  const char* name;
+  siphash_internal::KeyLaneKernel kernel;
+  std::size_t lanes;
+};
+
+std::vector<KeyLaneKernelCase> RunnableKeyLaneKernels() {
+  std::vector<KeyLaneKernelCase> kernels = {
+      {"scalar", siphash_internal::SipHash24KeyLanesScalar, kMaxKeyLanes}};
+#if defined(__x86_64__) || defined(_M_X64)
+  kernels.push_back({"sse2", siphash_internal::SipHash24KeyLanesSse2, 4});
+  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
+    kernels.push_back({"avx2", siphash_internal::SipHash24KeyLanesAvx2, 8});
+  }
+  if (siphash_internal::Avx512KeyLanesSupported()) {
+    kernels.push_back(
+        {"avx512", siphash_internal::SipHash24KeyLanesAvx512, 16});
+  }
+#endif
+  return kernels;
+}
+
+std::vector<SipHashKey> RandomKeys(std::size_t count, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<SipHashKey> keys(count);
+  for (SipHashKey& key : keys) {
+    key.k0 = rng();
+    key.k1 = rng();
+  }
+  return keys;
+}
+
+/// Messages of every length 0..40 — every tail case 0..7 at block counts
+/// 0..5 — then a second pass in shuffled order so no length sits at a fixed
+/// message index.
+ArenaBatch EveryTailLength(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 40; ++len) lengths.push_back(len);
+  std::vector<std::size_t> shuffled = lengths;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  lengths.insert(lengths.end(), shuffled.begin(), shuffled.end());
+  ArenaBatch batch;
+  for (const std::size_t len : lengths) {
+    std::vector<std::uint8_t> msg(len);
+    for (auto& b : msg) b = static_cast<std::uint8_t>(rng());
+    batch.Add(msg);
+  }
+  return batch;
+}
+
+/// Expects column l of `out` (stride `stride`) to be every message hashed
+/// under keys[l] by the scalar reference.
+void ExpectKeyLaneColumns(const std::vector<SipHashKey>& keys,
+                          const ArenaBatch& batch,
+                          const std::vector<std::uint64_t>& out,
+                          std::size_t stride, const std::string& what) {
+  for (std::size_t l = 0; l < keys.size(); ++l) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const std::size_t len = batch.bounds[i + 1] - batch.bounds[i];
+      ASSERT_EQ(out[l * stride + i],
+                SipHash24(keys[l].k0, keys[l].k1,
+                          batch.arena.data() + batch.bounds[i], len))
+          << what << " key=" << l << " msg=" << i << " len=" << len;
+    }
+  }
+}
+
+// Each kernel this CPU has, called directly, against the scalar SipHash24:
+// every message length 0..40, every key count 1..lanes (the lanes past the
+// count padded with copies, as the dispatcher pads them), and blocks whose
+// keys repeat or are all the same. Columns past the key count and slots
+// past the message count must be left untouched.
+TEST(KeyLaneSipHashTest, KernelsMatchScalarEveryWidth) {
+  const ArenaBatch batch = EveryTailLength(5);
+  const std::size_t count = batch.size();
+  const std::size_t stride = count + 3;
+  constexpr std::uint64_t kSentinel = 0x5e5e5e5e5e5e5e5eULL;
+  const std::vector<SipHashKey> distinct = RandomKeys(kMaxKeyLanes, 17);
+  std::vector<SipHashKey> repeated(kMaxKeyLanes);
+  for (std::size_t l = 0; l < kMaxKeyLanes; ++l) repeated[l] = distinct[l % 3];
+  const std::vector<SipHashKey> identical(kMaxKeyLanes, distinct[4]);
+
+  const std::vector<SipHashKey>* const key_sets[] = {&distinct, &repeated,
+                                                     &identical};
+  for (const KeyLaneKernelCase& k : RunnableKeyLaneKernels()) {
+    for (const std::vector<SipHashKey>* key_set : key_sets) {
+      for (std::size_t n = 1; n <= k.lanes; ++n) {
+        const std::vector<SipHashKey> keys(key_set->begin(),
+                                           key_set->begin() + n);
+        std::uint64_t k0[kMaxKeyLanes];
+        std::uint64_t k1[kMaxKeyLanes];
+        for (std::size_t l = 0; l < k.lanes; ++l) {
+          k0[l] = keys[std::min(l, n - 1)].k0;
+          k1[l] = keys[std::min(l, n - 1)].k1;
+        }
+        std::vector<std::uint64_t> out((n + 1) * stride, kSentinel);
+        k.kernel(k0, k1, n, batch.arena.data(), batch.bounds.data(), count,
+                 out.data(), stride);
+        ExpectKeyLaneColumns(keys, batch, out, stride,
+                             std::string(k.name) + " n=" + std::to_string(n));
+        for (std::size_t l = 0; l < n; ++l) {
+          for (std::size_t i = count; i < stride; ++i) {
+            EXPECT_EQ(out[l * stride + i], kSentinel) << k.name;
+          }
+        }
+        for (std::size_t i = 0; i < stride; ++i) {
+          EXPECT_EQ(out[n * stride + i], kSentinel)
+              << k.name << ": column " << n << " past the key count written";
+        }
+      }
+    }
+  }
+}
+
+// The dispatcher at every level: key counts 0..33 (several kernel groups
+// and a short last one) over mixed-length messages, equal to the scalar
+// loop; a zero-message batch (bounds {0}) and zero keys are no-ops.
+TEST(KeyLaneSipHashTest, DispatchMatchesScalarEveryLevelAndKeyCount) {
+  const ArenaBatch batch = EveryTailLength(9);
+  const std::size_t count = batch.size();
+  const std::vector<SipHashKey> all_keys = RandomKeys(33, 23);
+  for (const SimdLevel level : RunnableLevels()) {
+    ScopedSimdLevel forced(level);
+    for (std::size_t n = 0; n <= all_keys.size(); ++n) {
+      const std::vector<SipHashKey> keys(all_keys.begin(),
+                                         all_keys.begin() + n);
+      std::vector<std::uint64_t> out(n * count);
+      SipHash24KeyLanes(keys, batch.arena.data(),
+                        std::span<const std::size_t>(batch.bounds), out.data(),
+                        count);
+      ExpectKeyLaneColumns(keys, batch, out, count,
+                           std::string(SimdLevelName(level)) +
+                               " n=" + std::to_string(n));
+    }
+    const std::vector<std::size_t> empty_bounds = {0};
+    SipHash24KeyLanes(all_keys, nullptr,
+                      std::span<const std::size_t>(empty_bounds), nullptr, 0);
+  }
+}
+
+// The published vectors through the key lanes: with every lane holding the
+// reference key, message bytes 00..i-1 must hash to vector i in every lane.
+TEST(KeyLaneSipHashTest, ReferenceVectorsEveryLane) {
+  const std::uint64_t kFirst = 0x726fdb47dd0e0e31ULL;    // empty message
+  const std::uint64_t kFifteen = 0xa129ca6149be45e5ULL;  // 00..0e
+  ArenaBatch batch;
+  batch.Add({});
+  std::vector<std::uint8_t> msg(15);
+  for (int i = 0; i < 15; ++i) msg[i] = static_cast<std::uint8_t>(i);
+  batch.Add(msg);
+  const std::vector<SipHashKey> keys(kMaxKeyLanes, SipHashKey{kVecK0, kVecK1});
+  for (const SimdLevel level : RunnableLevels()) {
+    ScopedSimdLevel forced(level);
+    std::vector<std::uint64_t> out(keys.size() * 2);
+    SipHash24KeyLanes(keys, batch.arena.data(),
+                      std::span<const std::size_t>(batch.bounds), out.data(),
+                      2);
+    for (std::size_t l = 0; l < keys.size(); ++l) {
+      EXPECT_EQ(out[2 * l], kFirst) << SimdLevelName(level) << " lane " << l;
+      EXPECT_EQ(out[2 * l + 1], kFifteen)
+          << SimdLevelName(level) << " lane " << l;
+    }
+  }
+}
+
+// The key-lane width follows the level (AVX-512 only under avx2), and the
+// log names the hardware level and the key-lane kernel the ambient level
+// (CATMARK_SIMD) runs, so a CI leg on a host without AVX-512 shows which
+// path it checked.
+TEST(KeyLaneDispatchTest, WidthFollowsLevelAndIsReported) {
+  const std::size_t ambient = KeyLaneWidth();
+  std::cout << "[ simd     ] hardware level " << SimdLevelName(HardwareSimdLevel())
+            << ", active level " << SimdLevelName(ActiveSimdLevel())
+            << ", AVX-512 key-lane kernel "
+            << (ambient == 16 ? "ran" : "not run") << " (key-lane width "
+            << ambient << ")\n";
+  {
+    ScopedSimdLevel forced(SimdLevel::kScalar);
+    EXPECT_EQ(KeyLaneWidth(), 8u);
+  }
+  if (HardwareSimdLevel() >= SimdLevel::kSse2) {
+    ScopedSimdLevel forced(SimdLevel::kSse2);
+    EXPECT_EQ(KeyLaneWidth(), 4u);
+  }
+  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
+    ScopedSimdLevel forced(SimdLevel::kAvx2);
+    EXPECT_EQ(KeyLaneWidth(),
+              siphash_internal::Avx512KeyLanesSupported() ? 16u : 8u);
   }
 }
 

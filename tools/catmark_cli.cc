@@ -1,6 +1,7 @@
 // catmark — command-line rights protection for categorical CSV data.
 //
-//   catmark gen     --out data.csv --n 10000 [--items 500] [--sales]
+//   catmark gen     --out data.csv --n 10000 [--items 500] [--seed 42]
+//                   [--sales]
 //   catmark embed   --in data.csv --out marked.csv --schema <spec>
 //                   --key <passphrase> --wm <bits> [--e 60]
 //                   [--prf keyed-hash|hmac-sha256|siphash24]
@@ -50,6 +51,9 @@
 // pins every parameter the session needs — keys are verified against its
 // commitment, so the wrong passphrase fails before any row is inserted.
 //
+// Each subcommand accepts exactly the flags listed for it above; any other
+// flag (a misspelling included) exits 1 naming it.
+//
 // <spec> declares the CSV columns: comma-separated `name:type[:flag]`,
 // type in {int,double,str}, flag in {pk,cat}. Example:
 //   --schema "Visit_Nbr:int:pk,Item_Nbr:int:cat,Dept_Desc:str:cat"
@@ -64,6 +68,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/catmark.h"
@@ -93,6 +98,15 @@ class Flags {
     return it == values_.end() ? fallback : it->second;
   }
   bool Has(const std::string& name) const { return values_.count(name) > 0; }
+  /// The first flag given that is not in `known`, or "" if every one is.
+  std::string FirstUnknown(std::span<const std::string_view> known) const {
+    for (const auto& [name, value] : values_) {
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        return name;
+      }
+    }
+    return "";
+  }
   /// Numeric getters. Main validates every numeric flag up front
   /// (CheckNumericFlags), so by the time a subcommand reads one the whole
   /// string parses; the fallback covers an absent flag.
@@ -771,21 +785,57 @@ int Usage() {
   return 1;
 }
 
+/// A subcommand and every flag it reads. Main rejects any other flag, so a
+/// misspelt one (`--paylod-length 40`) fails naming it instead of being
+/// silently ignored.
+struct Subcommand {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Subcommand>& Subcommands() {
+  static const std::vector<Subcommand> kSubcommands = {
+      {"gen", RunGen, {"out", "n", "items", "seed", "sales"}},
+      {"embed",
+       RunEmbed,
+       {"in", "schema", "out", "key", "wm", "e", "prf", "key-attr",
+        "target-attr", "constraints", "certificate-out"}},
+      {"detect",
+       RunDetect,
+       {"in", "schema", "key", "certificate", "alpha", "wm", "e", "prf",
+        "key-attr", "target-attr", "payload-length"}},
+      {"sweep",
+       RunSweep,
+       {"in", "schema", "certs", "certificate", "keys", "threads", "alpha",
+        "top"}},
+      {"attack",
+       RunAttack,
+       {"in", "schema", "out", "type", "fraction", "seed", "column"}},
+      {"bandwidth", RunBandwidth, {"in", "schema", "e", "q"}},
+      {"stream",
+       RunStream,
+       {"certificate", "key", "schema", "in", "base", "batch", "out"}},
+      {"convert", RunConvert, {"in", "out", "schema", "threads"}},
+  };
+  return kSubcommands;
+}
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
   const Flags flags(argc, argv, 2);
-  if (const Status s = CheckNumericFlags(flags); !s.ok()) {
-    return Fail(s.ToString());
+  for (const Subcommand& sub : Subcommands()) {
+    if (sub.name != command) continue;
+    const std::string unknown = flags.FirstUnknown(sub.flags);
+    if (!unknown.empty()) {
+      return Fail("unknown flag --" + unknown + " for '" + command + "'");
+    }
+    if (const Status s = CheckNumericFlags(flags); !s.ok()) {
+      return Fail(s.ToString());
+    }
+    return sub.run(flags);
   }
-  if (command == "gen") return RunGen(flags);
-  if (command == "embed") return RunEmbed(flags);
-  if (command == "detect") return RunDetect(flags);
-  if (command == "sweep") return RunSweep(flags);
-  if (command == "attack") return RunAttack(flags);
-  if (command == "bandwidth") return RunBandwidth(flags);
-  if (command == "stream") return RunStream(flags);
-  if (command == "convert") return RunConvert(flags);
   return Usage();
 }
 
