@@ -292,19 +292,8 @@ TEST(DetectEngineTest, DetectManyIsolatesBadCandidates) {
 
 // -------------------------------------------------------- key-lane blocks
 
-/// RAII dispatch override; restores the environment/hardware default.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) { ForceSimdLevel(level); }
-  ~ScopedSimdLevel() { ForceSimdLevel(std::nullopt); }
-};
-
-std::vector<SimdLevel> RunnableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (HardwareSimdLevel() >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (HardwareSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  return levels;
-}
+using testutil::RunnableLevels;
+using testutil::ScopedSimdLevel;
 
 /// A sweep population for the key-lane grid: the true keys first, then
 /// non-owners whose claims vary what each lane carries (e, payload length,

@@ -34,20 +34,8 @@ namespace {
 constexpr std::uint64_t kVecK0 = 0x0706050403020100ULL;
 constexpr std::uint64_t kVecK1 = 0x0f0e0d0c0b0a0908ULL;
 
-/// RAII dispatch override; restores the environment/hardware default.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) { ForceSimdLevel(level); }
-  ~ScopedSimdLevel() { ForceSimdLevel(std::nullopt); }
-};
-
-/// Every level this machine can actually run (always includes kScalar).
-std::vector<SimdLevel> RunnableLevels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (HardwareSimdLevel() >= SimdLevel::kSse2) levels.push_back(SimdLevel::kSse2);
-  if (HardwareSimdLevel() >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
-  return levels;
-}
+using testutil::RunnableLevels;
+using testutil::ScopedSimdLevel;
 
 struct ArenaBatch {
   std::vector<std::uint8_t> arena;

@@ -24,5 +24,16 @@ BitVector TestWatermark(std::size_t bits, std::uint64_t seed) {
   return BitVector::FromGenerator(bits, [&rng] { return rng.Next(); });
 }
 
+std::vector<SimdLevel> RunnableLevels() {
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (HardwareSimdLevel() >= SimdLevel::kSse2) {
+    levels.push_back(SimdLevel::kSse2);
+  }
+  if (HardwareSimdLevel() >= SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
+  return levels;
+}
+
 }  // namespace testutil
 }  // namespace catmark

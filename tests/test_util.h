@@ -3,9 +3,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/bitvec.h"
 #include "core/keys.h"
+#include "crypto/siphash_simd.h"
 #include "gen/sales_gen.h"
 #include "relation/relation.h"
 
@@ -26,6 +28,19 @@ WatermarkKeySet TestKeys(std::uint64_t seed = 7);
 
 /// Deterministic pseudo-random watermark of `bits` bits.
 BitVector TestWatermark(std::size_t bits, std::uint64_t seed = 99);
+
+/// RAII dispatch override (ForceSimdLevel); restores the
+/// environment/hardware default.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) { ForceSimdLevel(level); }
+  ~ScopedSimdLevel() { ForceSimdLevel(std::nullopt); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+};
+
+/// Every SIMD level this machine can run (always includes kScalar).
+std::vector<SimdLevel> RunnableLevels();
 
 }  // namespace testutil
 }  // namespace catmark
